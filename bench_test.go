@@ -378,37 +378,6 @@ func BenchmarkEngine_SemiNaiveTC(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelEval measures the parallel stratified evaluator on the
-// E1 nonlinear transitive-closure workload, one sub-benchmark per worker
-// count. workers=1 is the sequential evaluator (the parallel path's
-// baseline — it must not regress); higher counts exercise SCC scheduling,
-// sharded semi-naive rounds, and the barrier merge. Speedup needs real
-// cores: on a multi-core box workers=4 should beat workers=1 by >=1.5x on
-// the n=256 chain; on a single-CPU machine the counts only verify that the
-// parallel machinery's overhead stays bounded.
-func BenchmarkParallelEval(b *testing.B) {
-	p := parser.MustParseProgram(`
-		t(X, Y) :- t(X, W), t(W, Y).
-		t(X, Y) :- e(X, W), t(W, Y).
-		t(X, Y) :- t(X, W), e(W, Y).
-		t(X, Y) :- e(X, Y).
-	`)
-	for _, n := range []int{64, 256} {
-		for _, w := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("n=%d/workers=%d", n, w), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					db := engine.NewDB()
-					workload.Chain(db, "e", n)
-					if _, err := engine.Eval(p, db, engine.Options{Workers: w}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkTraceOverhead measures what Options.Trace costs on the semi-naive
 // transitive-closure workload. Tracing is meant to be cheap enough to leave
 // on in tools (factorbench -json runs every strategy traced); the off/on

@@ -8,7 +8,6 @@
 //	factorbench -run E2            # run one experiment
 //	factorbench -list              # list experiment IDs and titles
 //	factorbench -json [-n N]       # machine-readable strategy metrics (BENCH_*.json)
-//	factorbench -json -workers 1,2,4,8   # one row per strategy x worker count
 //	factorbench -mutate [-json]    # incremental-vs-scratch view maintenance comparison
 //	factorbench -autoplan [-json]  # adaptive optimizer vs every fixed strategy
 //	factorbench -pprof-addr :6060  # serve net/http/pprof while running
@@ -16,8 +15,9 @@
 // With -json, factorbench evaluates every strategy over the E1
 // transitive-closure workload (a chain of N edges, query from node N/3)
 // with engine tracing enabled, and emits one JSON metrics document: per
-// strategy and worker count, the pipeline stage spans, per-rule, per-round,
-// per-stratum and per-worker counters, and total wall time; since schema v7
+// strategy, the pipeline stage spans, per-rule and per-round counters, and
+// total wall time (schema v10 dropped the workers, worker_stats and strata
+// row fields along with the parallel evaluator); since schema v7
 // the document also carries a stream_compare block pitting the streaming
 // executor against the materializing fixpoint on the layered non-recursive
 // join workload, with per-operator row counters from a traced streamed run.
@@ -73,7 +73,6 @@ func run(args []string) error {
 	mutate := fs.Bool("mutate", false, "with -json, add the incremental-vs-scratch mutate_compare block; alone, print it")
 	autoplan := fs.Bool("autoplan", false, "with -json, add the autoplan_compare block; alone, print it")
 	n := fs.Int("n", 256, "workload size for -json (chain length)")
-	workersList := fs.String("workers", "1", "comma-separated worker counts for -json (e.g. 1,2,4,8)")
 	pprofAddr := fs.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. :6060)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -96,11 +95,7 @@ func run(args []string) error {
 	}
 
 	if *jsonOut {
-		workers, err := parseWorkersList(*workersList)
-		if err != nil {
-			return err
-		}
-		return emitJSON(os.Stdout, *n, workers, *mutate, *autoplan)
+		return emitJSON(os.Stdout, *n, *mutate, *autoplan)
 	}
 
 	if *autoplan {
@@ -711,26 +706,21 @@ func summarizeStages(runs []metricsRun) []stageSummary {
 	return out
 }
 
-// metricsRun is one strategy's traced evaluation at one worker count.
-// Strategies whose transformation is unavailable for the workload (or that
-// diverge on it) report Error and nothing else; worker counts above 1 only
-// apply to the bottom-up semi-naive strategies, so the top-down baselines
-// are emitted once (workers = 1).
+// metricsRun is one strategy's traced evaluation. Strategies whose
+// transformation is unavailable for the workload (or that diverge on it)
+// report Error and nothing else.
 type metricsRun struct {
-	Strategy   string              `json:"strategy"`
-	Workers    int                 `json:"workers"`
-	Error      string              `json:"error,omitempty"`
-	Answers    int                 `json:"answers"`
-	Inferences int                 `json:"inferences"`
-	Facts      int                 `json:"facts"`
-	Iterations int                 `json:"iterations"`
-	MaxArity   int                 `json:"max_idb_arity"`
-	WallNS     int64               `json:"wall_ns"`
-	Spans      []obsv.Span         `json:"stage_spans,omitempty"`
-	Rules      []obsv.RuleStats    `json:"rule_stats,omitempty"`
-	Rounds     []obsv.RoundStats   `json:"rounds,omitempty"`
-	Strata     []obsv.StratumStats `json:"strata,omitempty"`
-	WorkerRows []obsv.WorkerStats  `json:"worker_stats,omitempty"`
+	Strategy   string            `json:"strategy"`
+	Error      string            `json:"error,omitempty"`
+	Answers    int               `json:"answers"`
+	Inferences int               `json:"inferences"`
+	Facts      int               `json:"facts"`
+	Iterations int               `json:"iterations"`
+	MaxArity   int               `json:"max_idb_arity"`
+	WallNS     int64             `json:"wall_ns"`
+	Spans      []obsv.Span       `json:"stage_spans,omitempty"`
+	Rules      []obsv.RuleStats  `json:"rule_stats,omitempty"`
+	Rounds     []obsv.RoundStats `json:"rounds,omitempty"`
 	// Storage is the post-evaluation storage shape (arena/index bytes and
 	// hash-table load factors); stage spans additionally carry allocs and
 	// alloc_bytes since schema v4.
@@ -742,69 +732,37 @@ type metricsRun struct {
 	Stream   *obsv.StreamStats `json:"stream,omitempty"`
 }
 
-// parseWorkersList parses the -workers flag: a comma-separated list of
-// positive worker counts.
-func parseWorkersList(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad -workers list %q: want positive counts like 1,2,4,8", s)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
-// parallelizable reports whether a strategy goes through the bottom-up
-// semi-naive evaluator, where Options.Workers applies.
-func parallelizable(s pipeline.Strategy) bool {
-	switch s {
-	case pipeline.Naive, pipeline.TopDown, pipeline.Tabled:
-		return false
-	}
-	return true
-}
-
-func emitJSON(out *os.File, n int, workers []int, mutate, autoplan bool) error {
+func emitJSON(out *os.File, n int, mutate, autoplan bool) error {
 	pl, load := experiments.E1Pipeline(n)
 	doc := metricsDoc{
-		Schema:   "factorlog/metrics/v9",
+		Schema:   "factorlog/metrics/v10",
 		Tool:     "factorbench",
 		Workload: "E1 transitive closure, chain EDB",
 		N:        n,
 		Query:    pl.Query.String(),
 	}
 	for _, s := range pipeline.AllStrategies() {
-		for _, w := range workers {
-			if w > 1 && !parallelizable(s) {
-				continue
-			}
-			opts := engine.Options{Trace: true, MaxFacts: 10_000_000, Workers: w}
-			r, err := pl.Run(s, load(), opts)
-			if err != nil {
-				doc.Runs = append(doc.Runs, metricsRun{Strategy: s.String(), Workers: w, Error: err.Error()})
-				continue
-			}
-			doc.Runs = append(doc.Runs, metricsRun{
-				Strategy:   s.String(),
-				Workers:    w,
-				Answers:    len(r.Answers),
-				Inferences: r.Inferences,
-				Facts:      r.Facts,
-				Iterations: r.Iterations,
-				MaxArity:   r.MaxIDBArity,
-				WallNS:     r.EvalWall.Nanoseconds(),
-				Spans:      r.Spans,
-				Rules:      r.Rules,
-				Rounds:     r.Rounds,
-				Strata:     r.Strata,
-				WorkerRows: r.Workers,
-				Storage:    r.Storage,
-				Executor:   r.Executor,
-				Stream:     r.Stream,
-			})
+		opts := engine.Options{Trace: true, MaxFacts: 10_000_000}
+		r, err := pl.Run(s, load(), opts)
+		if err != nil {
+			doc.Runs = append(doc.Runs, metricsRun{Strategy: s.String(), Error: err.Error()})
+			continue
 		}
+		doc.Runs = append(doc.Runs, metricsRun{
+			Strategy:   s.String(),
+			Answers:    len(r.Answers),
+			Inferences: r.Inferences,
+			Facts:      r.Facts,
+			Iterations: r.Iterations,
+			MaxArity:   r.MaxIDBArity,
+			WallNS:     r.EvalWall.Nanoseconds(),
+			Spans:      r.Spans,
+			Rules:      r.Rules,
+			Rounds:     r.Rounds,
+			Storage:    r.Storage,
+			Executor:   r.Executor,
+			Stream:     r.Stream,
+		})
 	}
 	doc.StageSummary = summarizeStages(doc.Runs)
 	sc, err := compareExecutors(6, 2000, 1, 5)

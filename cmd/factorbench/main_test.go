@@ -56,6 +56,10 @@ func TestRunUnknown(t *testing.T) {
 	if _, err := capture(t, "-run", "E99"); err == nil {
 		t.Error("unknown experiment accepted")
 	}
+	// Evaluation is sequential; the worker sweep flag is gone.
+	if _, err := capture(t, "-json", "-workers", "1,2"); err == nil {
+		t.Error("-workers accepted")
+	}
 }
 
 func TestJSONMetrics(t *testing.T) {
@@ -67,7 +71,7 @@ func TestJSONMetrics(t *testing.T) {
 	if err := json.Unmarshal([]byte(out), &doc); err != nil {
 		t.Fatalf("-json output is not valid JSON: %v\n%s", err, out)
 	}
-	if doc.Schema != "factorlog/metrics/v9" {
+	if doc.Schema != "factorlog/metrics/v10" {
 		t.Errorf("schema = %q", doc.Schema)
 	}
 	if doc.MutateCompare != nil {
@@ -108,8 +112,8 @@ func TestJSONMetrics(t *testing.T) {
 	}
 	byStrategy := map[string]metricsRun{}
 	for _, r := range doc.Runs {
-		if r.Workers != 1 {
-			t.Errorf("%s: workers = %d with default -workers", r.Strategy, r.Workers)
+		if _, dup := byStrategy[r.Strategy]; dup {
+			t.Errorf("%s: more than one row", r.Strategy)
 		}
 		byStrategy[r.Strategy] = r
 	}
@@ -141,49 +145,6 @@ func TestJSONMetrics(t *testing.T) {
 	// Unavailable strategies are reported, not dropped.
 	if byStrategy["counting"].Error == "" {
 		t.Error("counting should report its unavailability")
-	}
-}
-
-func TestJSONMetricsWorkerSweep(t *testing.T) {
-	out, err := capture(t, "-json", "-n", "16", "-workers", "1,4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc metricsDoc
-	if err := json.Unmarshal([]byte(out), &doc); err != nil {
-		t.Fatalf("-json output is not valid JSON: %v\n%s", err, out)
-	}
-	rows := map[string]map[int]metricsRun{}
-	for _, r := range doc.Runs {
-		if rows[r.Strategy] == nil {
-			rows[r.Strategy] = map[int]metricsRun{}
-		}
-		rows[r.Strategy][r.Workers] = r
-	}
-	for _, s := range []string{"semi-naive", "magic", "factored+opt"} {
-		seq, ok1 := rows[s][1]
-		par, ok4 := rows[s][4]
-		if !ok1 || !ok4 {
-			t.Fatalf("%s: missing worker rows (have %v)", s, rows[s])
-		}
-		if seq.Error != "" || par.Error != "" {
-			t.Fatalf("%s: errors: %q / %q", s, seq.Error, par.Error)
-		}
-		// The parallel-correctness contract, visible in the metrics.
-		if seq.Facts != par.Facts || seq.Answers != par.Answers {
-			t.Errorf("%s: workers=1 (%d facts, %d answers) != workers=4 (%d facts, %d answers)",
-				s, seq.Facts, seq.Answers, par.Facts, par.Answers)
-		}
-		if len(par.Strata) == 0 || len(par.WorkerRows) != 4 {
-			t.Errorf("%s: parallel row missing strata/worker stats (%d strata, %d workers)",
-				s, len(par.Strata), len(par.WorkerRows))
-		}
-	}
-	// Top-down baselines are emitted once, at workers=1.
-	for _, s := range []string{"top-down", "tabled", "naive"} {
-		if _, ok := rows[s][4]; ok {
-			t.Errorf("%s: unexpected workers=4 row", s)
-		}
 	}
 }
 

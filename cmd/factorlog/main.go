@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	factorlog run      [-strategy S] [-constraints file] [-edb file] [-budget N] [-workers N] [-stream] [-profile] [-explain] file.dl
+//	factorlog run      [-strategy S] [-constraints file] [-edb file] [-budget N] [-stream] [-profile] [-explain] file.dl
 //	factorlog compare  [-constraints file] [-edb file] [-budget N] file.dl
 //	factorlog explain  [-strategy S] [-constraints file] file.dl
 //	factorlog classify [-constraints file] file.dl
@@ -65,7 +65,6 @@ func run(args []string) error {
 	constraintsFile := fs.String("constraints", "", "file of full-TGD EDB constraints")
 	edbFile := fs.String("edb", "", "file of additional ground facts")
 	budget := fs.Int("budget", 0, "max derived facts (0 = unlimited)")
-	workers := fs.Int("workers", 1, "evaluation workers (>1 = parallel stratified semi-naive)")
 	profile := fs.Bool("profile", false, "run: print stage spans and per-rule/per-round tables")
 	streaming := fs.Bool("stream", false, "run: evaluate non-recursive strata with the streaming executor")
 	explainRun := fs.Bool("explain", false, "run: EXPLAIN ANALYZE — print the plan description and the measured span tree")
@@ -104,7 +103,6 @@ func run(args []string) error {
 	if *budget > 0 {
 		sys.WithBudget(0, *budget)
 	}
-	sys.WithWorkers(*workers)
 	sys.WithStreaming(*streaming)
 
 	switch cmd {
@@ -258,5 +256,5 @@ func strategyByName(name string) (factorlog.Strategy, error) {
 }
 
 func usageError() error {
-	return fmt.Errorf("usage: factorlog {run|compare|explain|classify|prove|repl} [-strategy S] [-constraints file] [-edb file] [-budget N] [-workers N] [-profile] file.dl")
+	return fmt.Errorf("usage: factorlog {run|compare|explain|classify|prove|repl} [-strategy S] [-constraints file] [-edb file] [-budget N] [-stream] [-profile] file.dl")
 }

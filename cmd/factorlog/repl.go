@@ -38,7 +38,6 @@ func repl(in io.Reader, out io.Writer) error {
 	strategy := factorlog.FactoredOptimized
 	profiling := false
 	budget := 5_000_000
-	workers := 1
 	streaming := false
 	var epoch int64
 	var last *factorlog.Result
@@ -72,7 +71,6 @@ func repl(in io.Reader, out io.Writer) error {
 			fmt.Fprintln(out, "  :profile             toggle per-query profiling (rule/round tables)")
 			fmt.Fprintln(out, "  :stats               show the last query's profile")
 			fmt.Fprintln(out, "  :budget N            cap derived facts per query (current:", budget, ")")
-			fmt.Fprintln(out, "  :workers N           evaluation workers, >1 = parallel (current:", workers, ")")
 			fmt.Fprintln(out, "  :stream              toggle the streaming executor for non-recursive strata")
 			fmt.Fprintln(out, "  :assert fact.        add a ground fact and advance the session epoch")
 			fmt.Fprintln(out, "  :retract fact.       remove a ground fact (no-op if absent)")
@@ -156,15 +154,6 @@ func repl(in io.Reader, out io.Writer) error {
 			budget = n
 			fmt.Fprintln(out, "budget:", budget)
 
-		case strings.HasPrefix(line, ":workers"):
-			var n int
-			if _, err := fmt.Sscanf(strings.TrimPrefix(line, ":workers"), "%d", &n); err != nil || n <= 0 {
-				fmt.Fprintln(out, "error: :workers needs a positive worker count")
-				continue
-			}
-			workers = n
-			fmt.Fprintln(out, "workers:", workers)
-
 		case strings.HasPrefix(line, ":strategy"):
 			name := strings.TrimSpace(strings.TrimPrefix(line, ":strategy"))
 			s, err := strategyByName(name)
@@ -203,7 +192,7 @@ func repl(in io.Reader, out io.Writer) error {
 			}
 			fmt.Fprint(out, info.Text())
 			tc := factorlog.NewTrace(factorlog.NewTraceID())
-			sys.WithBudget(0, budget).WithWorkers(workers).WithStreaming(streaming).WithTraceSpan(tc.Root())
+			sys.WithBudget(0, budget).WithStreaming(streaming).WithTraceSpan(tc.Root())
 			res, err := sys.Run(strategy, sys.NewDB())
 			if err != nil {
 				fmt.Fprintln(out, "error:", err)
@@ -244,7 +233,7 @@ func repl(in io.Reader, out io.Writer) error {
 				fmt.Fprintln(out, "error:", err)
 				continue
 			}
-			sys.WithBudget(0, budget).WithTrace(profiling).WithWorkers(workers).WithStreaming(streaming)
+			sys.WithBudget(0, budget).WithTrace(profiling).WithStreaming(streaming)
 			res, err := sys.Run(strategy, sys.NewDB())
 			if errors.Is(err, factorlog.ErrBudgetExceeded) {
 				fmt.Fprintln(out, "budget exceeded:", err)

@@ -165,8 +165,8 @@ func TestAutoRepickAfterFactsSkewFlip(t *testing.T) {
 	if err := json.NewDecoder(mresp.Body).Decode(&doc); err != nil {
 		t.Fatal(err)
 	}
-	if doc.Schema != "factorlog/metrics/v10" {
-		t.Errorf("schema = %q, want factorlog/metrics/v10", doc.Schema)
+	if doc.Schema != "factorlog/metrics/v11" {
+		t.Errorf("schema = %q, want factorlog/metrics/v11", doc.Schema)
 	}
 	if doc.PlanSearch.Picks < 1 || doc.PlanSearch.Recosts < 1 || doc.PlanSearch.Repicks < 1 {
 		t.Errorf("plan_search = %+v, want at least one pick, recost, and repick", doc.PlanSearch)

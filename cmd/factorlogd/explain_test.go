@@ -126,13 +126,14 @@ func TestExplainPlan(t *testing.T) {
 
 // TestExplainAnalyzeExample44 is the acceptance path: EXPLAIN ANALYZE on
 // Example 4.4 returns a span tree naming each pipeline stage and at least
-// one applied reduction, with per-stratum timings under parallel eval.
+// one applied reduction, with per-stratum timings from the streaming
+// executor (which evaluates stratum by stratum).
 func TestExplainAnalyzeExample44(t *testing.T) {
 	srv, ts := example44Server(t, config{strategy: "factored", timeout: 5 * time.Second})
 	srv.warmup()
 
 	resp, body := getBody(t, ts.URL+"/query?"+url.Values{
-		"q": {"p(5, Y)"}, "explain": {"analyze"}, "workers": {"2"},
+		"q": {"p(5, Y)"}, "explain": {"analyze"}, "stream": {"1"},
 	}.Encode())
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
@@ -151,7 +152,7 @@ func TestExplainAnalyzeExample44(t *testing.T) {
 		t.Errorf("no answers: %v", er.Result)
 	}
 	// The span tree names every pipeline stage of the factored strategy and
-	// carries per-stratum timings from the parallel evaluator.
+	// carries per-stratum timings from the streaming executor.
 	for _, stage := range []string{"adorn", "magic", "factor", "eval", "stratum", "round"} {
 		if !strings.Contains(er.Profile, stage) {
 			t.Errorf("profile missing %q:\n%s", stage, er.Profile)

@@ -245,8 +245,8 @@ func TestFactsMetricsAndHealth(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if stats.Schema != "factorlog/metrics/v10" {
-		t.Errorf("schema = %q, want factorlog/metrics/v10", stats.Schema)
+	if stats.Schema != "factorlog/metrics/v11" {
+		t.Errorf("schema = %q, want factorlog/metrics/v11", stats.Schema)
 	}
 	m := stats.Mutation
 	if m.Epoch != 1 || m.Batches != 1 || m.FactsAsserted != 1 || m.FactsRetracted != 1 || m.NoopRetracts != 1 {

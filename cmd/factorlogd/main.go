@@ -8,7 +8,7 @@
 // Usage:
 //
 //	factorlogd -program file.dl [-addr :8080] [-edb file] [-constraints file]
-//	           [-strategy magic] [-workers N] [-budget N] [-max-bytes N]
+//	           [-strategy magic] [-budget N] [-max-bytes N]
 //	           [-timeout 10s] [-max-concurrency N] [-max-queue N]
 //	           [-trace-sample N] [-slow-query-ms N] [-pprof-addr :6060]
 //	           [-materialize=true] [-mat-entries N]
@@ -16,15 +16,15 @@
 //
 // Endpoints:
 //
-//	GET  /query?q=t(5,Y)[&strategy=S][&workers=N][&timeout_ms=T][&max_bytes=N][&explain=plan|analyze]
-//	POST /query    {"query":"t(5,Y)","strategy":"magic","workers":4,"timeout_ms":1000,"explain":"analyze"}
+//	GET  /query?q=t(5,Y)[&strategy=S][&timeout_ms=T][&max_bytes=N][&stream=1][&explain=plan|analyze]
+//	POST /query    {"query":"t(5,Y)","strategy":"magic","timeout_ms":1000,"explain":"analyze"}
 //	POST /facts    {"assert":["e(1,2)"],"retract":["e(3,4)"]} — atomic mutation batch
 //	GET  /facts?since=E  committed batch log after epoch E (requires -wal-dir)
 //	GET  /healthz  liveness + program fingerprint (200 even while draining)
 //	GET  /readyz   readiness: 200 after warmup, 503 while warming up,
 //	               replaying the WAL tail, or draining
 //	GET  /metrics  Prometheus text exposition (?format=json for the
-//	               factorlog/metrics/v10 document, ?format=text for a table)
+//	               factorlog/metrics/v11 document, ?format=text for a table)
 //	GET  /debug/slowlog      recent slow queries, newest first
 //	GET  /debug/trace/{id}   one finished trace by query ID (?format=text for a profile)
 //
@@ -62,16 +62,17 @@
 // tree and an indented text profile (see docs/OBSERVABILITY.md).
 //
 // Overload and shutdown behave predictably (see docs/RESILIENCE.md): every
-// query passes a weighted admission limiter (weight = its worker count) and
-// is shed with 429 + Retry-After when the bounded wait queue is full; on
-// SIGINT/SIGTERM the server flips /readyz to 503, refuses new admissions,
-// and cancels in-flight evaluations, which answer a typed draining 503.
+// query passes an admission limiter (-max-concurrency queries evaluate at
+// once) and is shed with 429 + Retry-After when the bounded wait queue is
+// full; on SIGINT/SIGTERM the server flips /readyz to 503, refuses new
+// admissions, and cancels in-flight evaluations, which answer a typed
+// draining 503.
 //
 // From-scratch evaluations (materialized serving off or inapplicable) run
 // against a fresh copy of the current EDB, bounded by the request's
 // context: the client disconnecting or the per-request timeout expiring
-// stops the evaluation at the next round boundary (or mid-round under
-// parallel evaluation) instead of burning the fixpoint to completion.
+// stops the evaluation within a few thousand inferences instead of burning
+// the fixpoint to completion.
 package main
 
 import (
@@ -101,11 +102,10 @@ func run(args []string) error {
 	edbFile := fs.String("edb", "", "file of additional ground facts")
 	constraintsFile := fs.String("constraints", "", "file of full-TGD EDB constraints")
 	strategyName := fs.String("strategy", "magic", "default evaluation strategy ('auto' = cost-based pick per query)")
-	workers := fs.Int("workers", 1, "default evaluation workers (>1 = parallel stratified semi-naive)")
 	budget := fs.Int("budget", 0, "max derived facts per query (0 = unlimited)")
 	maxBytes := fs.Int64("max-bytes", 0, "max arena+index bytes per query evaluation (0 = unlimited)")
 	timeout := fs.Duration("timeout", 10*time.Second, "default per-request evaluation timeout (0 = none)")
-	maxConcurrency := fs.Int64("max-concurrency", 0, "admission capacity in worker-weight units (0 = 8x default workers)")
+	maxConcurrency := fs.Int64("max-concurrency", defaultMaxConcurrency, "queries evaluated at once; more wait in the admission queue")
 	maxQueue := fs.Int("max-queue", 64, "admission wait-queue length before shedding with 429")
 	traceSample := fs.Int("trace-sample", 0, "trace one query in every N (0 = only explain=analyze, 1 = all)")
 	slowQueryMS := fs.Int("slow-query-ms", 500, "slow-query log threshold in milliseconds (0 = disabled)")
@@ -144,7 +144,6 @@ func run(args []string) error {
 
 	srv, err := newServer(string(src), constraints, config{
 		strategy:       *strategyName,
-		workers:        *workers,
 		budget:         *budget,
 		maxBytes:       *maxBytes,
 		timeout:        *timeout,
@@ -176,6 +175,11 @@ func run(args []string) error {
 		}()
 	}
 
+	// Install the signal handler before the listener starts: once /readyz
+	// can answer 200, a SIGTERM must drain the server, not kill it.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.routes()}
 	errc := make(chan error, 1)
 	go func() {
@@ -184,8 +188,6 @@ func run(args []string) error {
 		errc <- httpSrv.ListenAndServe()
 	}()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	select {
 	case err := <-errc:
 		return err

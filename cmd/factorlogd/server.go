@@ -28,12 +28,13 @@ import (
 // metricsSchema names the /metrics document layout; v1/v2 and v6/v7 are
 // factorbench evaluation-metrics schemas, v3 lacked storage_high_water and
 // per-span allocation counters, v4 lacked the resilience block (admission,
-// panics, degradations, memory-budget stops, drains), v5 lacked the
+// panics, memory-budget stops, drains), v5 lacked the
 // mutation block (epoch, /facts counters, materialization refreshes), v8
 // lacked the plan_search block (the adaptive optimizer's pick/re-cost
 // counters), v9 lacked the durability block (WAL epoch, group-commit
-// fsyncs, snapshots, replay and torn-tail counters).
-const metricsSchema = "factorlog/metrics/v10"
+// fsyncs, snapshots, replay and torn-tail counters), v10 still carried the
+// parallel evaluator's resilience.degraded counter.
+const metricsSchema = "factorlog/metrics/v11"
 
 // errDraining is the cancel cause propagated into in-flight evaluations
 // when shutdown begins; handlers translate it to a typed 503 body.
@@ -64,14 +65,13 @@ const traceRingSize = 64
 
 type config struct {
 	strategy string
-	workers  int
 	budget   int
 	timeout  time.Duration
 	// maxBytes caps each evaluation's arena+index footprint
 	// (engine.Options.MaxBytes); 0 = unlimited.
 	maxBytes int64
-	// maxConcurrency is the admission limiter's capacity in weight units
-	// (one unit per evaluation worker); <= 0 derives a default from workers.
+	// maxConcurrency is the admission limiter's capacity: how many queries
+	// evaluate at once; <= 0 uses defaultMaxConcurrency.
 	maxConcurrency int64
 	// maxQueue bounds the admission wait queue; beyond it requests are shed
 	// with 429.
@@ -106,18 +106,16 @@ type config struct {
 	walSegmentBytes int64
 }
 
+// defaultMaxConcurrency is the admission capacity when none is configured.
+const defaultMaxConcurrency = 8
+
 // limiterCapacity derives the admission capacity: explicit when configured,
-// otherwise enough weight for 8 default-shaped queries to run concurrently
-// (each query weighs its effective worker count).
+// otherwise defaultMaxConcurrency.
 func (c config) limiterCapacity() int64 {
 	if c.maxConcurrency > 0 {
 		return c.maxConcurrency
 	}
-	w := int64(c.workers)
-	if w < 1 {
-		w = 1
-	}
-	return 8 * w
+	return defaultMaxConcurrency
 }
 
 // server holds the immutable program state shared by all requests and the
@@ -156,8 +154,8 @@ type server struct {
 	timeout     time.Duration
 	start       time.Time
 
-	// limiter is the /query admission gate; each request acquires weight
-	// equal to its effective worker count before touching the evaluator.
+	// limiter is the /query admission gate; each request acquires one unit
+	// of weight before touching the evaluator.
 	limiter *resilience.Limiter
 
 	// ready flips true once warmup finishes; draining flips true when
@@ -186,7 +184,6 @@ type server struct {
 	arena     *obsv.ValueHistogram // per-query arena+index bytes
 	storageHW obsv.StorageStats    // heaviest per-request storage footprint
 	panics    int64                // ErrInternal responses (recovered panics)
-	degraded  int64                // parallel→sequential fallbacks that succeeded
 	memStops  int64                // ErrMemoryBudget responses
 	drained   int64                // requests refused or aborted by shutdown
 	slowSeen  int64                // queries at or over the slow threshold
@@ -278,7 +275,6 @@ func newServer(src, constraints string, cfg config) (*server, error) {
 			pipeline.SnapshotSource(mat), pipeline.AutoPolicy{}),
 		defStrategy: strategy,
 		defOpts: engine.Options{
-			Workers:  cfg.workers,
 			MaxFacts: cfg.budget,
 			MaxBytes: cfg.maxBytes,
 		},
@@ -466,7 +462,6 @@ func (s *server) routes() http.Handler {
 type queryRequest struct {
 	Query     string `json:"query"`
 	Strategy  string `json:"strategy,omitempty"`
-	Workers   int    `json:"workers,omitempty"`
 	Budget    int    `json:"budget,omitempty"`
 	TimeoutMS int    `json:"timeout_ms,omitempty"`
 	MaxBytes  int64  `json:"max_bytes,omitempty"`
@@ -503,9 +498,6 @@ type queryResponse struct {
 	// of a non-hit refresh.
 	Materialized  string `json:"materialized,omitempty"`
 	RefreshWallNS int64  `json:"refresh_wall_ns,omitempty"`
-	// Degraded is set when a parallel worker panicked and the answers come
-	// from the automatic sequential retry.
-	Degraded bool `json:"degraded,omitempty"`
 	// Executor names the bottom-up evaluator that ran ("stream" or
 	// "materialize"; absent for top-down strategies); Stream carries the
 	// streaming counters when it is "stream".
@@ -557,7 +549,7 @@ func decodeQueryRequest(w http.ResponseWriter, r *http.Request) (queryRequest, e
 		req.Strategy = q.Get("strategy")
 		req.Explain = q.Get("explain")
 		for name, dst := range map[string]*int{
-			"workers": &req.Workers, "budget": &req.Budget, "timeout_ms": &req.TimeoutMS,
+			"budget": &req.Budget, "timeout_ms": &req.TimeoutMS,
 		} {
 			if v := q.Get(name); v != "" {
 				n, err := strconv.Atoi(v)
@@ -678,9 +670,6 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	opts := s.defOpts
 	opts.Context = ctx
-	if req.Workers > 0 {
-		opts.Workers = req.Workers
-	}
 	if req.Budget > 0 {
 		opts.MaxFacts = req.Budget
 	}
@@ -691,12 +680,9 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		opts.Streaming = engine.StreamAuto
 	}
 
-	// Admission: a request weighs its effective worker count, so one
-	// 8-worker query consumes as much admission capacity as eight sequential
-	// ones. Overload sheds with 429 + Retry-After instead of queueing
-	// goroutines without bound.
-	weight := int64(opts.Workers)
-	release, err := s.limiter.Acquire(ctx, weight)
+	// Admission: every query weighs one unit of capacity. Overload sheds
+	// with 429 + Retry-After instead of queueing goroutines without bound.
+	release, err := s.limiter.Acquire(ctx, 1)
 	if err != nil {
 		switch {
 		case errors.Is(err, resilience.ErrLimiterClosed):
@@ -834,11 +820,6 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	if res.Degraded {
-		s.mu.Lock()
-		s.degraded++
-		s.mu.Unlock()
-	}
 	// Calibrate the planner with what the run actually derived, so the next
 	// shadow re-cost of this query shape prices against measured rows.
 	if auto != nil && len(res.Rules) > 0 {
@@ -861,7 +842,6 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		EvalWallNS:  res.EvalWall.Nanoseconds(),
 		TotalWallNS: total.Nanoseconds(),
 		Epoch:       epoch,
-		Degraded:    res.Degraded,
 		Executor:    res.Executor,
 		Stream:      res.Stream,
 		Auto:        auto != nil,
@@ -1320,7 +1300,6 @@ func (s *server) snapshot() obsv.ServerStats {
 		Resilience: obsv.ResilienceStats{
 			Admission:         s.limiter.Stats(),
 			Panics:            s.panics,
-			Degraded:          s.degraded,
 			MemoryBudgetStops: s.memStops,
 			Drained:           s.drained,
 		},

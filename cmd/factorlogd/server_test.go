@@ -192,7 +192,7 @@ func TestMetricsReportCacheHits(t *testing.T) {
 }
 
 // TestConcurrentQueries drives 32 concurrent in-flight requests (mixed
-// shapes: two constants, two strategies, both worker counts) through one
+// shapes: two constants, three strategies, both executors) through one
 // server and checks every response; under -race this also exercises the
 // shared plan cache and pipeline memoization for data races.
 func TestConcurrentQueries(t *testing.T) {
@@ -201,14 +201,14 @@ func TestConcurrentQueries(t *testing.T) {
 	type shape struct {
 		q        string
 		strategy string
-		workers  string
+		stream   string
 		want     string
 	}
 	shapes := []shape{
-		{"t(5,Y)", "magic", "1", "[(6) (7) (8)]"},
-		{"t(5,Y)", "factored+opt", "2", "[(6) (7) (8)]"},
-		{"t(6,Y)", "magic", "2", "[(7) (8)]"},
-		{"t(6,Y)", "semi-naive", "1", "[(7) (8)]"},
+		{"t(5,Y)", "magic", "0", "[(6) (7) (8)]"},
+		{"t(5,Y)", "factored+opt", "1", "[(6) (7) (8)]"},
+		{"t(6,Y)", "magic", "1", "[(7) (8)]"},
+		{"t(6,Y)", "semi-naive", "0", "[(7) (8)]"},
 	}
 	const n = 32
 	var wg sync.WaitGroup
@@ -220,7 +220,7 @@ func TestConcurrentQueries(t *testing.T) {
 			// No t.Fatal here: test helpers must not FailNow off the test
 			// goroutine, so failures flow through the channel.
 			defer wg.Done()
-			params := url.Values{"q": {sh.q}, "strategy": {sh.strategy}, "workers": {sh.workers}}
+			params := url.Values{"q": {sh.q}, "strategy": {sh.strategy}, "stream": {sh.stream}}
 			resp, err := http.Get(ts.URL + "/query?" + params.Encode())
 			if err != nil {
 				errs <- err
@@ -274,20 +274,20 @@ func TestConcurrentQueries(t *testing.T) {
 }
 
 func TestQueryDeadline(t *testing.T) {
-	for _, workers := range []string{"1", "4"} {
+	for _, stream := range []string{"0", "1"} {
 		_, ts := testServer(t, divergentProgram, config{strategy: "semi-naive", timeout: 10 * time.Second})
 		start := time.Now()
 		status, _, body := getQuery(t, ts, url.Values{
-			"q": {"n(X)"}, "timeout_ms": {"100"}, "workers": {workers},
+			"q": {"n(X)"}, "timeout_ms": {"100"}, "stream": {stream},
 		})
 		if status != http.StatusGatewayTimeout {
-			t.Fatalf("workers=%s: status %d, want %d: %s", workers, status, http.StatusGatewayTimeout, body)
+			t.Fatalf("stream=%s: status %d, want %d: %s", stream, status, http.StatusGatewayTimeout, body)
 		}
 		if !strings.Contains(body, "deadline") {
-			t.Errorf("workers=%s: error body %q does not mention the deadline", workers, body)
+			t.Errorf("stream=%s: error body %q does not mention the deadline", stream, body)
 		}
 		if elapsed := time.Since(start); elapsed > 10*time.Second {
-			t.Errorf("workers=%s: deadline enforcement took %v", workers, elapsed)
+			t.Errorf("stream=%s: deadline enforcement took %v", stream, elapsed)
 		}
 	}
 }

@@ -88,8 +88,7 @@ type CandidateInfo = pipeline.CandidateInfo
 
 // ErrBudgetExceeded is returned (wrapped) by Run when an evaluation exceeds
 // the WithBudget limits; test with errors.Is to distinguish budget stops
-// from real failures. (The engine's deprecated ErrBudget alias for this
-// error is not re-exported here and is scheduled for removal.)
+// from real failures.
 var ErrBudgetExceeded = engine.ErrBudgetExceeded
 
 // ErrCanceled is returned (wrapped) by Run when the context installed with
@@ -102,7 +101,7 @@ var ErrCanceled = engine.ErrCanceled
 var ErrDeadlineExceeded = engine.ErrDeadlineExceeded
 
 // ErrBadOptions is returned (wrapped) by Run when the evaluation options
-// are invalid (e.g. a negative WithWorkers count); test with errors.Is.
+// are invalid (e.g. a negative WithMemoryBudget bound); test with errors.Is.
 var ErrBadOptions = engine.ErrBadOptions
 
 // ErrMemoryBudget is returned (wrapped) by Run when an evaluation's storage
@@ -118,14 +117,13 @@ var ErrMemoryBudget = engine.ErrMemoryBudget
 // errors.As(*engine.PanicError).
 var ErrInternal = engine.ErrInternal
 
-// RuleStats, RoundStats, StratumStats, WorkerStats, Span and StorageStats
+// RuleStats, RoundStats, StratumStats, Span, StorageStats and StreamStats
 // re-export the observability record types; see package obsv for field
 // documentation.
 type (
 	RuleStats    = obsv.RuleStats
 	RoundStats   = obsv.RoundStats
 	StratumStats = obsv.StratumStats
-	WorkerStats  = obsv.WorkerStats
 	Span         = obsv.Span
 	StorageStats = obsv.StorageStats
 	StreamStats  = obsv.StreamStats
@@ -213,8 +211,8 @@ func (s *System) WithMemoryBudget(maxBytes int64) *System {
 }
 
 // WithTrace enables (or disables) evaluation tracing: subsequent Runs fill
-// Result.Rules and Result.Rounds (plus Result.Strata and Result.Workers for
-// parallel runs), at a small evaluation-time cost.
+// Result.Rules and Result.Rounds (plus Result.Strata for streamed runs), at
+// a small evaluation-time cost.
 func (s *System) WithTrace(on bool) *System {
 	s.evalOpts.Trace = on
 	return s
@@ -222,20 +220,11 @@ func (s *System) WithTrace(on bool) *System {
 
 // WithTraceSpan threads a trace span into subsequent Runs: the pipeline
 // attaches its compile-stage spans under it and the engine records stratum,
-// round, rule, and worker spans below an "eval" child. A nil span disables
+// round, and rule spans below an "eval" child. A nil span disables
 // span tracing (the no-op path costs nothing). Implies WithTrace for the
 // duration of the traced runs.
 func (s *System) WithTraceSpan(sp *TraceSpan) *System {
 	s.evalOpts.Span = sp
-	return s
-}
-
-// WithWorkers sets the evaluation worker count for the bottom-up semi-naive
-// strategies: 0 or 1 keeps the sequential evaluator, n > 1 evaluates with
-// parallel stratified fixpoints over n workers. Answer sets and derived-fact
-// counts are identical across worker counts.
-func (s *System) WithWorkers(n int) *System {
-	s.evalOpts.Workers = n
 	return s
 }
 
@@ -339,18 +328,14 @@ type Result struct {
 	// tracing is on (WithTrace); nil otherwise.
 	Rules  []RuleStats
 	Rounds []RoundStats
-	// Strata and Workers carry per-stratum and per-worker records for traced
-	// parallel runs (WithWorkers > 1); nil otherwise.
-	Strata  []StratumStats
-	Workers []WorkerStats
+	// Strata carries per-stratum records for traced streamed runs
+	// (WithStreaming); nil otherwise.
+	Strata []StratumStats
 	// EvalWall is the evaluation's wall-clock time.
 	EvalWall time.Duration
 	// Storage is the database's storage shape after evaluation: tuple-arena
 	// and hash-index bytes plus table load factors.
 	Storage StorageStats
-	// Degraded reports that a parallel run (WithWorkers > 1) lost a worker
-	// to a panic and the answers come from the automatic sequential retry.
-	Degraded bool
 	// Executor names the bottom-up evaluator that ran: "stream" under
 	// WithStreaming for a program with streamable strata, "materialize" for
 	// the classic fixpoint, empty for top-down strategies. Stream carries
@@ -402,10 +387,8 @@ func newResult(r *pipeline.RunResult) *Result {
 		Rules:       r.Rules,
 		Rounds:      r.Rounds,
 		Strata:      r.Strata,
-		Workers:     r.Workers,
 		EvalWall:    r.EvalWall,
 		Storage:     r.Storage,
-		Degraded:    r.Degraded,
 		Executor:    r.Executor,
 		Stream:      r.Stream,
 		AutoPicked:  r.AutoPicked,

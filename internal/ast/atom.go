@@ -84,11 +84,11 @@ func (a Atom) Clone() Atom {
 // String renders the atom in surface syntax, e.g. t_bf(X,Y) or true for a
 // zero-arity predicate.
 func (a Atom) String() string {
-	if len(a.Args) == 0 {
-		return a.Pred
-	}
 	var b strings.Builder
-	b.WriteString(a.Pred)
+	writeName(&b, a.Pred)
+	if len(a.Args) == 0 {
+		return b.String()
+	}
 	b.WriteByte('(')
 	for i, t := range a.Args {
 		if i > 0 {

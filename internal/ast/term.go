@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"unicode"
 )
 
 // TermKind discriminates the three shapes a term can take.
@@ -219,7 +220,7 @@ func (t Term) write(b *strings.Builder) {
 		}
 		b.WriteByte(']')
 	case t.Kind == Compound:
-		b.WriteString(t.Functor)
+		writeName(b, t.Functor)
 		b.WriteByte('(')
 		for i, a := range t.Args {
 			if i > 0 {
@@ -228,9 +229,55 @@ func (t Term) write(b *strings.Builder) {
 			a.write(b)
 		}
 		b.WriteByte(')')
+	case t.Kind == Const && !t.IsNil():
+		writeName(b, t.Functor)
 	default:
 		b.WriteString(t.Functor)
 	}
+}
+
+// writeName writes a constant, functor or predicate name so that the parser
+// reads it back as the same name: bare when the lexer scans it as a single
+// atom token, single-quoted (embedded quotes doubled) otherwise. The empty
+// list prints as [] only as a constant (Term.write), never through here.
+func writeName(b *strings.Builder, name string) {
+	if bareName(name) {
+		b.WriteString(name)
+		return
+	}
+	b.WriteByte('\'')
+	b.WriteString(strings.ReplaceAll(name, "'", "''"))
+	b.WriteByte('\'')
+}
+
+// bareName reports whether the parser's lexer scans name, unquoted, as one
+// atom token: a lower-case identifier or an optionally negative integer.
+// It classifies bytes exactly as the lexer does (unicode predicates on each
+// byte), with an ASCII fast path; Latin-1 has no decimal digits past '9'.
+func bareName(name string) bool {
+	if name == "" {
+		return false
+	}
+	if c := name[0]; 'a' <= c && c <= 'z' || c >= 0x80 && unicode.IsLower(rune(c)) {
+		for i := 1; i < len(name); i++ {
+			c := name[i]
+			if !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' || c == '_' ||
+				c >= 0x80 && unicode.IsLetter(rune(c))) {
+				return false
+			}
+		}
+		return true
+	}
+	digits := strings.TrimPrefix(name, "-")
+	if digits == "" {
+		return false
+	}
+	for i := 0; i < len(digits); i++ {
+		if c := digits[i]; c < '0' || c > '9' {
+			return false
+		}
+	}
+	return true
 }
 
 // Compare orders terms: variables before constants before compounds, then by

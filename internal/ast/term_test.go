@@ -179,3 +179,29 @@ func TestTermKindString(t *testing.T) {
 		t.Error("unknown kind should still render")
 	}
 }
+
+// TestStringQuotesNonBareNames: names the lexer would not scan as one atom
+// token print single-quoted, so printed programs parse back unchanged.
+func TestStringQuotesNonBareNames(t *testing.T) {
+	for _, tc := range []struct {
+		term Term
+		want string
+	}{
+		{C("abc_1"), "abc_1"},
+		{C("-42"), "-42"},
+		{Nil(), "[]"},
+		{C(""), "''"},
+		{C("Hello world"), "'Hello world'"},
+		{C("it's"), "'it''s'"},
+		{C("-"), "'-'"},
+		{Fn("[]", C("a")), "'[]'(a)"},
+		{Fn("F", V("X")), "'F'(X)"},
+	} {
+		if got := tc.term.String(); got != tc.want {
+			t.Errorf("String() = %s, want %s", got, tc.want)
+		}
+	}
+	if got := (Atom{Pred: "Not bare"}).String(); got != "'Not bare'" {
+		t.Errorf("zero-arity atom = %s, want 'Not bare'", got)
+	}
+}

@@ -8,9 +8,9 @@
 //
 // The schedule is purely syntactic — it depends only on which predicates
 // appear in rule heads and bodies — so it is computed once per compiled
-// program and shared by every evaluation. The parallel evaluator
-// (internal/engine, Options.Workers > 1) walks the schedule stratum by
-// stratum, fanning each stratum's rounds out over its worker pool; the
-// per-stratum records it emits (obsv.StratumStats) are indexed by the
-// schedule order computed here.
+// program and shared by every evaluation. The streaming executor
+// (internal/stream) walks the schedule stratum by stratum, and incremental
+// maintenance (internal/engine) uses it to tell recursive strata apart;
+// the per-stratum records the streaming executor emits (obsv.StratumStats)
+// are indexed by the schedule order computed here.
 package depgraph

@@ -9,13 +9,12 @@ import (
 	"factorlog/internal/parser"
 )
 
-// TestChaos is the deterministic chaos suite: with every injection point
-// armed at seed-derived rates, evaluations across all worker counts must
-// (1) never crash the process — every failure is a typed error, (2) never
-// deadlock — the suite finishing is the assertion, bounded by go test's
-// timeout, and (3) produce exactly the baseline answers whenever they
-// succeed, whether or not faults fired along the way (success after a
-// worker panic means the sequential retry completed the fixpoint).
+// TestChaos is the deterministic chaos suite: with every engine injection
+// point armed at seed-derived rates, evaluations under every option mix
+// must (1) never crash the process — every failure is a typed error, (2)
+// never deadlock — the suite finishing is the assertion, bounded by go
+// test's timeout, and (3) produce exactly the baseline answers whenever
+// they succeed (a fault either fails the evaluation or did not fire).
 //
 // Seeds are fixed so CI failures reproduce exactly: the per-point firing
 // period is a pure function of (seed, point) and the call counters.
@@ -30,19 +29,24 @@ func TestChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 	allPoints := []faultinject.Point{
-		faultinject.ArenaGrow, faultinject.WorkerStart, faultinject.IndexProbe,
+		faultinject.ArenaGrow, faultinject.IndexProbe,
 		faultinject.PlanCompile, faultinject.ContextCheck,
 	}
 	seeds := []uint64{1, 2, 3, 42, 12345}
-	workerCounts := []int{1, 2, 4, 8}
+	configs := []Options{
+		{},
+		{Strategy: Naive},
+		{Trace: true},
+		{ReorderJoins: true},
+	}
 
 	for _, seed := range seeds {
 		for _, maxPeriod := range []uint64{25, 400} {
 			t.Run(fmt.Sprintf("seed=%d period<=%d", seed, maxPeriod), func(t *testing.T) {
 				// Build every EDB before arming: fact loading here is test
 				// setup, not the system under test.
-				dbs := make([]*DB, len(workerCounts))
-				for i := range workerCounts {
+				dbs := make([]*DB, len(configs))
+				for i := range configs {
 					dbs[i] = chainDB(n)
 				}
 				disable := faultinject.Enable(faultinject.Config{
@@ -50,31 +54,28 @@ func TestChaos(t *testing.T) {
 				})
 				defer disable()
 
-				for i, workers := range workerCounts {
+				for i, opts := range configs {
 					firedBefore := faultinject.TotalFired()
-					res, err := Eval(tcProgram(), dbs[i], Options{Workers: workers})
-					if err != nil {
+					if _, err := Eval(tcProgram(), dbs[i], opts); err != nil {
 						// Never-crash: the only acceptable failure is the
 						// typed internal error from a recovery barrier.
 						if !errors.Is(err, ErrInternal) {
-							t.Fatalf("workers=%d: untyped failure %v", workers, err)
+							t.Fatalf("config %d: untyped failure %v", i, err)
 						}
 						var pe *PanicError
 						if !errors.As(err, &pe) || len(pe.Stack) == 0 {
-							t.Fatalf("workers=%d: internal error without stack: %v", workers, err)
+							t.Fatalf("config %d: internal error without stack: %v", i, err)
 						}
 						continue
 					}
-					// Success must mean correct answers — even when faults
-					// fired and the run degraded to the sequential retry.
+					// Success must mean correct answers.
 					got, aerr := AnswerSet(dbs[i], q)
 					if aerr != nil {
-						t.Fatalf("workers=%d: answer read-back: %v", workers, aerr)
+						t.Fatalf("config %d: answer read-back: %v", i, aerr)
 					}
 					if !sameSet(got, baseline) {
-						t.Fatalf("workers=%d (degraded=%v, fired=%d): %d answers, want %d",
-							workers, res.Stats.Degraded, faultinject.TotalFired()-firedBefore,
-							len(got), len(baseline))
+						t.Fatalf("config %d (fired=%d): %d answers, want %d",
+							i, faultinject.TotalFired()-firedBefore, len(got), len(baseline))
 					}
 				}
 			})
@@ -83,23 +84,28 @@ func TestChaos(t *testing.T) {
 }
 
 // TestChaosDisabledDifferential pins the harness-off invariant the chaos
-// suite's baseline rests on: with injection disabled, every worker count
-// agrees with the sequential evaluator exactly.
+// suite's baseline rests on: with injection disabled, the baseline is the
+// closed-form transitive closure of the chain, and every option mix the
+// suite arms agrees with it exactly.
 func TestChaosDisabledDifferential(t *testing.T) {
 	if faultinject.Enabled() {
 		t.Fatal("harness armed at test start")
 	}
-	baseline, err := tcAnswerSet(20, Options{})
+	const n = 20
+	baseline, err := tcAnswerSet(n, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 4, 8} {
-		got, err := tcAnswerSet(20, Options{Workers: workers})
+	if want := n * (n - 1) / 2; len(baseline) != want {
+		t.Fatalf("baseline has %d answers, want %d", len(baseline), want)
+	}
+	for i, opts := range []Options{{Strategy: Naive}, {Trace: true}, {ReorderJoins: true}} {
+		got, err := tcAnswerSet(n, opts)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("config %d: %v", i, err)
 		}
 		if !sameSet(got, baseline) {
-			t.Errorf("workers=%d: answers differ from sequential baseline", workers)
+			t.Errorf("config %d (%+v): answers differ from the baseline", i, opts)
 		}
 	}
 }

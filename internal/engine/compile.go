@@ -37,8 +37,8 @@ type literalSpec struct {
 
 // indexNeed is one hash index a rule's body requires: the probe of some
 // body literal with at least one bound column. The compiler declares these
-// so the evaluator can build every index up front (once per stratum in the
-// parallel path) instead of lazily inside Probe — removing the first-probe
+// so the evaluator can build every index up front instead of lazily inside
+// Probe — removing the first-probe
 // stall and making in-round probes read-only.
 type indexNeed struct {
 	pred string

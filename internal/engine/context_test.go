@@ -12,10 +12,8 @@ import (
 
 // divergentProgram grows n(z), n(f(z)), n(f(f(z))), ... forever: without a
 // budget or context the fixpoint never terminates, so it is the workload of
-// choice for cancellation tests. Sequentially the whole evaluation happens
-// inside round 0 (the cascade re-reads relation lengths), exercising the
-// in-round context checks; in parallel mode relations are frozen per round,
-// so it runs unboundedly many short rounds, exercising the round-boundary
+// choice for cancellation tests. The whole evaluation happens inside round
+// 0 (the cascade re-reads relation lengths), exercising the in-round context
 // checks.
 func divergentProgram(t *testing.T) (*ast.Program, *DB) {
 	t.Helper()
@@ -46,79 +44,72 @@ func chainTC(t *testing.T, n int) (*ast.Program, *DB, ast.Atom) {
 }
 
 func TestEvalCanceledMidEvaluation(t *testing.T) {
-	for _, workers := range []int{1, 2, 8} {
-		p, db := divergentProgram(t)
-		ctx, cancel := context.WithCancel(context.Background())
-		go func() {
-			time.Sleep(20 * time.Millisecond)
-			cancel()
-		}()
-		start := time.Now()
-		_, err := Eval(p, db, Options{Context: ctx, Workers: workers})
-		if !errors.Is(err, ErrCanceled) {
-			t.Fatalf("workers=%d: want ErrCanceled, got %v", workers, err)
-		}
-		if errors.Is(err, ErrBudgetExceeded) || errors.Is(err, ErrDeadlineExceeded) {
-			t.Fatalf("workers=%d: cancellation mislabeled: %v", workers, err)
-		}
-		// "Promptly": the divergent fixpoint would run forever; a canceled
-		// one must return well within the test timeout. The bound is loose
-		// to stay robust on slow CI machines.
-		if elapsed := time.Since(start); elapsed > 10*time.Second {
-			t.Fatalf("workers=%d: cancellation took %v", workers, elapsed)
-		}
+	p, db := divergentProgram(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		time.Sleep(20 * time.Millisecond)
+		cancel()
+	}()
+	start := time.Now()
+	_, err := Eval(p, db, Options{Context: ctx})
+	if !errors.Is(err, ErrCanceled) {
+		t.Fatalf("want ErrCanceled, got %v", err)
+	}
+	if errors.Is(err, ErrBudgetExceeded) || errors.Is(err, ErrDeadlineExceeded) {
+		t.Fatalf("cancellation mislabeled: %v", err)
+	}
+	// "Promptly": the divergent fixpoint would run forever; a canceled
+	// one must return well within the test timeout. The bound is loose
+	// to stay robust on slow CI machines.
+	if elapsed := time.Since(start); elapsed > 10*time.Second {
+		t.Fatalf("cancellation took %v", elapsed)
 	}
 }
 
 func TestEvalDeadlineExceeded(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		p, db := divergentProgram(t)
-		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-		_, err := Eval(p, db, Options{Context: ctx, Workers: workers})
-		cancel()
-		if !errors.Is(err, ErrDeadlineExceeded) {
-			t.Fatalf("workers=%d: want ErrDeadlineExceeded, got %v", workers, err)
-		}
-		if errors.Is(err, ErrCanceled) {
-			t.Fatalf("workers=%d: deadline mislabeled as cancellation: %v", workers, err)
-		}
+	p, db := divergentProgram(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	_, err := Eval(p, db, Options{Context: ctx})
+	cancel()
+	if !errors.Is(err, ErrDeadlineExceeded) {
+		t.Fatalf("want ErrDeadlineExceeded, got %v", err)
+	}
+	if errors.Is(err, ErrCanceled) {
+		t.Fatalf("deadline mislabeled as cancellation: %v", err)
 	}
 }
 
 func TestEvalPreCanceledContext(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		p, db := divergentProgram(t)
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		if _, err := Eval(p, db, Options{Context: ctx, Workers: workers}); !errors.Is(err, ErrCanceled) {
-			t.Fatalf("workers=%d: want ErrCanceled, got %v", workers, err)
-		}
+	p, db := divergentProgram(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := Eval(p, db, Options{Context: ctx}); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("want ErrCanceled, got %v", err)
 	}
 }
 
 func TestEvalLiveContextMatchesNoContext(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		p, db, query := chainTC(t, 40)
-		res, err := Eval(p, db, Options{Context: context.Background(), Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		answers, err := AnswerSet(db, query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(answers) != 39 {
-			t.Fatalf("workers=%d: got %d answers, want 39", workers, len(answers))
-		}
-		p2, db2, _ := chainTC(t, 40)
-		res2, err := Eval(p2, db2, Options{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Stats.Derived != res2.Stats.Derived {
-			t.Fatalf("workers=%d: derived %d with context, %d without",
-				workers, res.Stats.Derived, res2.Stats.Derived)
-		}
+	p, db, query := chainTC(t, 40)
+	res, err := Eval(p, db, Options{Context: context.Background()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	answers, err := AnswerSet(db, query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(answers) != 39 {
+		t.Fatalf("got %d answers, want 39", len(answers))
+	}
+	p2, db2, _ := chainTC(t, 40)
+	res2, err := Eval(p2, db2, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One evaluator means exact counters: a live context changes none.
+	a, b := res.Stats, res2.Stats
+	if a.Derived != b.Derived || a.Inferences != b.Inferences || a.Iterations != b.Iterations {
+		t.Fatalf("stats %+v with context, %+v without", a, b)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package engine implements bottom-up evaluation of Horn-clause programs:
 // a hash-consed ground-term store, indexed relations, naive and semi-naive
-// fixpoint evaluation (sequential and parallel), derivation-tree
+// fixpoint evaluation, derivation-tree
 // provenance, and uniform statistics (facts, inferences, iterations).
 //
 // # Term store and relations
@@ -20,10 +20,10 @@
 // Eval compiles a program's rules into join plans and runs them to the
 // least fixpoint under Options: naive or semi-naive strategy, optional
 // join reordering, per-rule/per-round tracing (package obsv records), and
-// derivation provenance. With Options.Workers > 1 the program is evaluated
-// stratum by stratum over its predicate dependency condensation (package
-// depgraph), each stratum's rounds fanned out over a worker pool; see
-// parallel.go for the full design.
+// derivation provenance. Evaluation is sequential: one goroutine runs the
+// whole fixpoint, so inference and fact counts are exact and identical on
+// every run (docs/ARCHITECTURE.md explains why there is no parallel
+// evaluator).
 //
 // # Bounding evaluations
 //
@@ -32,7 +32,6 @@
 // surfacing as ErrBudgetExceeded. Options.Context carries a caller
 // lifetime — a server request's deadline or a client disconnect — and
 // surfaces as ErrCanceled or ErrDeadlineExceeded, observed at round
-// boundaries, every few thousand inferences within a round, and (in
-// parallel mode) by each worker mid-round. All three errors are wrapped
-// sentinels; test with errors.Is.
+// boundaries and every few thousand inferences within a round. All three
+// errors are wrapped sentinels; test with errors.Is.
 package engine

@@ -44,18 +44,10 @@ func (s Strategy) String() string {
 // Callers distinguish budget stops from real failures with errors.Is.
 var ErrBudgetExceeded = errors.New("evaluation budget exceeded")
 
-// ErrBudget is the former name of ErrBudgetExceeded. No internal code
-// references it anymore; it is kept one release for external callers and
-// will then be removed.
-//
-// Deprecated: use ErrBudgetExceeded.
-var ErrBudget = ErrBudgetExceeded
-
 // ErrCanceled is returned (wrapped) when Options.Context is canceled before
-// the fixpoint completes. The sequential evaluator notices cancellation at
-// round boundaries and every few thousand inferences inside a round; the
-// parallel evaluator additionally has its workers observe cancellation
-// mid-round. Callers test with errors.Is.
+// the fixpoint completes. The evaluator notices cancellation at round
+// boundaries and every few thousand inferences inside a round. Callers test
+// with errors.Is.
 var ErrCanceled = errors.New("evaluation canceled")
 
 // ErrDeadlineExceeded is returned (wrapped) when Options.Context's deadline
@@ -71,8 +63,8 @@ var ErrDeadlineExceeded = errors.New("evaluation deadline exceeded")
 var ErrMemoryBudget = errors.New("evaluation memory budget exceeded")
 
 // ErrBadOptions is returned by Eval when Options carry values outside their
-// domain (negative Workers, MaxIterations, MaxFacts, or MaxBytes). Callers
-// test with errors.Is.
+// domain (Workers other than 0 or 1, negative MaxIterations, MaxFacts, or
+// MaxBytes). Callers test with errors.Is.
 var ErrBadOptions = errors.New("engine: invalid options")
 
 // contextErr maps ctx's terminal state to the engine's typed errors; it
@@ -99,7 +91,7 @@ func contextErr(ctx context.Context) error {
 // materializing fixpoint. The engine's own evaluators never consult this
 // field — the pipeline layer routes evaluation to the streaming executor
 // when it is set — but it lives on Options so the choice threads through
-// every caller (facade, server, CLI, bench) the same way Workers does.
+// every caller (facade, server, CLI, bench) the same way the budgets do.
 //
 // The zero value keeps the classic evaluator: the paper's cost measures
 // (Inferences, Iterations) assume standard semi-naive evaluation, and the
@@ -135,16 +127,11 @@ type Options struct {
 	// ErrDeadlineExceeded (both wrapped, test with errors.Is). The partial
 	// derived state left in the DB is valid but incomplete; discard it.
 	Context context.Context
-	// Workers sets the number of evaluation goroutines. 0 and 1 select the
-	// exact sequential evaluator; N > 1 evaluates the program stratum by
-	// stratum (SCC schedule, see internal/depgraph) with each stratum's
-	// rounds fanned out over N workers deriving into private buffers that
-	// merge at the round barrier. Parallel evaluation applies to the
-	// SemiNaive strategy without provenance; Naive and provenance-recording
-	// runs always execute sequentially. Answer sets and Stats.Derived are
-	// identical across worker counts; Stats.Iterations counts per-stratum
-	// rounds in parallel mode and relation insertion order is not
-	// deterministic across parallel runs.
+	// Workers is accepted only as 0 or 1 (any other value fails with
+	// ErrBadOptions); evaluation is always sequential and nothing reads it.
+	//
+	// Deprecated: evaluation has one sequential evaluator; leave Workers
+	// unset. The field will be removed.
 	Workers int
 	// MaxIterations bounds fixpoint rounds; 0 means unlimited.
 	MaxIterations int
@@ -163,19 +150,18 @@ type Options struct {
 	// discussions assume the written left-to-right order.
 	ReorderJoins bool
 	// Trace records per-rule counters in Stats.Rules and per-round records
-	// in Stats.Rounds (plus, under parallel evaluation, per-stratum records
-	// in Stats.Strata and per-worker records in Stats.Workers). Off by
-	// default: with tracing off the hot path pays a nil check per event and
-	// allocates nothing.
+	// in Stats.Rounds (plus, under the streaming executor, per-stratum
+	// records in Stats.Strata). Off by default: with tracing off the hot
+	// path pays a nil check per event and allocates nothing.
 	Trace bool
 	// Streaming selects the executor for non-recursive strata. The engine
 	// evaluators ignore it (see StreamMode); internal/pipeline honors it
 	// when the strategy evaluates bottom-up semi-naive without provenance.
 	Streaming StreamMode
 	// Span, when non-nil, receives a query-scoped span tree of the
-	// evaluation: round and rule-pass spans sequentially, stratum, round,
-	// and worker spans in parallel mode. Setting Span implies Trace (the
-	// span attributes are read off the trace counters). Spans are recorded
+	// evaluation: round and rule-pass spans (plus stratum spans under the
+	// streaming executor). Setting Span implies Trace (the span attributes
+	// are read off the trace counters). Spans are recorded
 	// per stage/stratum/round/rule — never per tuple — and the trace's span
 	// cap bounds the memory one query can hold; a nil Span costs the same
 	// single nil check as Trace=false.
@@ -183,10 +169,10 @@ type Options struct {
 }
 
 // validate rejects option values outside their domain up front, so a typo
-// like Workers: -4 fails loudly instead of silently evaluating sequentially.
+// like MaxFacts: -4 fails loudly instead of silently meaning "unlimited".
 func (o Options) validate() error {
-	if o.Workers < 0 {
-		return fmt.Errorf("%w: Workers = %d (want >= 0)", ErrBadOptions, o.Workers)
+	if o.Workers != 0 && o.Workers != 1 {
+		return fmt.Errorf("%w: Workers = %d (want 0 or 1; evaluation is sequential)", ErrBadOptions, o.Workers)
 	}
 	if o.MaxIterations < 0 {
 		return fmt.Errorf("%w: MaxIterations = %d (want >= 0)", ErrBadOptions, o.MaxIterations)
@@ -204,7 +190,7 @@ func (o Options) validate() error {
 }
 
 // memBudgetErr checks db's storage footprint against maxBytes (0 = no
-// bound); both evaluators call it at round boundaries.
+// bound); the evaluator calls it at round boundaries.
 func memBudgetErr(db *DB, maxBytes int64) error {
 	if maxBytes <= 0 {
 		return nil
@@ -231,16 +217,8 @@ type Stats struct {
 	// Rounds holds one record per fixpoint round; nil unless Options.Trace.
 	Rounds []obsv.RoundStats
 	// Strata holds one record per evaluated stratum; nil unless
-	// Options.Trace under parallel evaluation (Workers > 1).
+	// Options.Trace under the streaming executor (internal/stream).
 	Strata []obsv.StratumStats
-	// Workers holds one record per evaluation worker; nil unless
-	// Options.Trace under parallel evaluation (Workers > 1).
-	Workers []obsv.WorkerStats
-	// Degraded reports that a parallel evaluation hit a worker panic and
-	// the result was produced by the sequential retry. Derived counts only
-	// the retry's insertions (facts merged before the panic are already in
-	// the DB), so it may undercount relative to a clean run.
-	Degraded bool
 }
 
 // Result is the outcome of an evaluation. The DB passed to Eval is mutated
@@ -254,14 +232,11 @@ type Result struct {
 // Eval computes the least fixpoint of program p over db (which supplies the
 // EDB and receives all derived facts).
 //
-// Panic isolation: compilation and both evaluators run behind recover
-// barriers, so a panic in engine code (or injected via
-// internal/faultinject) fails this evaluation with a *PanicError wrapping
-// ErrInternal instead of killing the process. A panic inside a parallel
-// worker degrades gracefully: the evaluation is retried once sequentially
-// over the same DB (every fact merged before the panic is a true fact, and
-// the retry re-seeds the fixpoint from the full database) before failing.
-// On any error the DB's contents are valid but incomplete; discard them.
+// Panic isolation: compilation and evaluation run behind recover barriers,
+// so a panic in engine code (or injected via internal/faultinject) fails
+// this evaluation with a *PanicError wrapping ErrInternal instead of
+// killing the process. On any error the DB's contents are valid but
+// incomplete; discard them.
 func Eval(p *ast.Program, db *DB, opts Options) (*Result, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
@@ -273,22 +248,7 @@ func Eval(p *ast.Program, db *DB, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.Workers > 1 && opts.Strategy == SemiNaive && !opts.Provenance {
-		res, err := evalParallelGuarded(p, db, rules, opts)
-		if err == nil || !workerPanicked(err) {
-			return res, err
-		}
-		// Graceful degradation: round stamps left by the parallel rounds
-		// are meaningless to a fresh fixpoint, so zero them (everything
-		// already derived becomes base state) and re-run sequentially.
-		db.resetRounds()
-		res, err = evalSequentialGuarded(p, db, rules, opts)
-		if res != nil {
-			res.Stats.Degraded = true
-		}
-		return res, err
-	}
-	return evalSequentialGuarded(p, db, rules, opts)
+	return evalGuarded(p, db, rules, opts)
 }
 
 // compileRulesGuarded runs rule compilation behind a recover barrier: a
@@ -299,9 +259,8 @@ func compileRulesGuarded(p *ast.Program, store *Store, reorder bool) (rules []*c
 	return compileProgram(p, store, reorder)
 }
 
-// evalSequentialGuarded runs the sequential evaluator behind a recover
-// barrier.
-func evalSequentialGuarded(p *ast.Program, db *DB, rules []*compiledRule, opts Options) (res *Result, err error) {
+// evalGuarded runs the evaluator behind a recover barrier.
+func evalGuarded(p *ast.Program, db *DB, rules []*compiledRule, opts Options) (res *Result, err error) {
 	defer recoverTo("eval", &err)
 	ev := &evaluator{
 		db:    db,
@@ -327,16 +286,6 @@ func evalSequentialGuarded(p *ast.Program, db *DB, rules []*compiledRule, opts O
 		ev.stats.Rounds = ev.trace.rounds
 	}
 	return &Result{DB: db, Stats: ev.stats, Prov: ev.prov}, nil
-}
-
-// evalParallelGuarded runs the parallel coordinator behind a recover
-// barrier. Worker goroutines carry their own barriers (a worker panic
-// surfaces as a *PanicError with Where "worker", the degradation trigger);
-// this one catches panics on the coordinator itself — merge inserts, index
-// builds, scheduling.
-func evalParallelGuarded(p *ast.Program, db *DB, rules []*compiledRule, opts Options) (res *Result, err error) {
-	defer recoverTo("parallel", &err)
-	return evalParallel(p, db, rules, opts)
 }
 
 const noLimit = int32(math.MaxInt32)
@@ -372,20 +321,16 @@ type evaluator struct {
 	roundSpan *trace.Span
 }
 
-// runner executes one rule's join over the database. The sequential
-// evaluator owns one, and each parallel worker owns one; sink receives the
-// materialized head tuple of every successful body instantiation. The
-// zero-valued parallel fields (frozen, shardMod) select the sequential
-// behavior: lazily built indexes via Relation.Probe and no shard filter.
+// runner executes one rule's join over the database; sink receives the
+// materialized head tuple of every successful body instantiation.
 type runner struct {
 	db *DB
 	// limits holds the per-literal round windows of the rule being run.
 	limits []roundRange
-	// prov, when non-nil, makes join collect body fact IDs into children
-	// (sequential mode only).
+	// prov, when non-nil, makes join collect body fact IDs into children.
 	prov *Provenance
 	// children collects the body fact IDs of the current derivation when
-	// provenance is on (sequential mode only).
+	// provenance is on.
 	children []FactID
 	// cur points at the per-rule trace counters, nil when untraced.
 	cur *obsv.RuleStats
@@ -397,23 +342,11 @@ type runner struct {
 	// allocates nothing: slots is the binding frame, key holds the probe
 	// key being assembled for the current literal (dead once Probe
 	// returns, so one buffer serves every recursion depth), and head
-	// holds the materialized head tuple (consumed synchronously by sink —
-	// both sinks copy it before returning).
+	// holds the materialized head tuple (consumed synchronously by sink,
+	// which copies what it keeps).
 	slots []Val
 	key   []Val
 	head  []Val
-
-	// Parallel-mode fields.
-	//
-	// frozen probes prebuilt indexes read-only (no lazy builds, no shared
-	// scratch), so concurrent runners never mutate shared relations.
-	frozen bool
-	// shardMod > 1 restricts the literal at shardLit to positions with
-	// pos % shardMod == shardRem, splitting one rule evaluation into
-	// disjoint work units.
-	shardLit int
-	shardMod int32
-	shardRem int32
 }
 
 // evalTrace accumulates the per-rule and per-round records behind
@@ -634,7 +567,6 @@ func (rn *runner) join(r *compiledRule, li int, slots []Val, trail []int) error 
 		return nil
 	}
 	limit := rn.limits[li]
-	shardHere := rn.shardMod > 1 && li == rn.shardLit
 
 	childMark := len(rn.children)
 	tryPos := func(pos int32) error {
@@ -678,37 +610,16 @@ func (rn *runner) join(r *compiledRule, li int, slots []Val, trail []int) error 
 			key = append(key, evalPattern(spec.args[col], slots, rn.db.Store))
 		}
 		rn.key = key
-		var positions []int32
-		if rn.frozen {
-			positions = rel.probeFrozen(spec.boundCols, key)
-		} else {
-			positions = rel.Probe(spec.boundCols, key)
-		}
-		if shardHere {
-			lo, hi := shardRange(len(positions), rn.shardRem, rn.shardMod)
-			positions = positions[lo:hi]
-		}
-		for _, pos := range positions {
+		for _, pos := range rel.Probe(spec.boundCols, key) {
 			if err := tryPos(pos); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	if shardHere {
-		// Parallel rounds freeze relations, so the length is fixed and the
-		// shard can slice it up front.
-		lo, hi := shardRange(rel.Len(), rn.shardRem, rn.shardMod)
-		for pos := lo; pos < hi; pos++ {
-			if err := tryPos(pos); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	// Re-read Len every iteration: sequential rounds insert while scanning,
-	// and seeing those tuples in the same pass (the round-0 cascade) is part
-	// of the sequential evaluator's convergence behavior.
+	// Re-read Len every iteration: rounds insert while scanning, and seeing
+	// those tuples in the same pass (the round-0 cascade) is part of the
+	// evaluator's convergence behavior.
 	for pos := int32(0); pos < int32(rel.Len()); pos++ {
 		if err := tryPos(pos); err != nil {
 			return err
@@ -717,20 +628,9 @@ func (rn *runner) join(r *compiledRule, li int, slots []Val, trail []int) error 
 	return nil
 }
 
-// shardRange splits n candidate positions into shardMod contiguous ranges
-// and returns shard shardRem's half-open [lo, hi). Contiguous slicing (not
-// a modulo filter) keeps each shard's enumeration proportional to its own
-// share, so the total scan work across shards equals one unsharded pass.
-func shardRange(n int, shardRem, shardMod int32) (lo, hi int32) {
-	lo = int32(int64(n) * int64(shardRem) / int64(shardMod))
-	hi = int32(int64(n) * int64(shardRem+1) / int64(shardMod))
-	return lo, hi
-}
-
 // emitHead materializes the head tuple into the runner's scratch and hands
-// it to the sink; sinks must copy what they keep (InsertRound copies into
-// the arena, the parallel sink copies into its buffer arena) because the
-// scratch is overwritten by the next emission.
+// it to the sink; the sink must copy what it keeps (InsertRound copies into
+// the arena) because the scratch is overwritten by the next emission.
 func (rn *runner) emitHead(r *compiledRule, slots []Val) error {
 	tuple := rn.head[:0]
 	for _, p := range r.headArgs {
@@ -743,11 +643,11 @@ func (rn *runner) emitHead(r *compiledRule, slots []Val) error {
 // ctxCheckMask throttles in-round context checks: one contextErr call per
 // 4096 inferences keeps the per-inference cost at a single branch while
 // still bounding how long a canceled evaluation can keep running inside one
-// round (the sequential round-0 cascade can make a single round arbitrarily
+// round (the round-0 cascade can make a single round arbitrarily
 // long, so round-boundary checks alone are not enough).
 const ctxCheckMask = 4096 - 1
 
-// emit is the sequential sink: insert immediately, bump counters, record
+// emit is the evaluator's sink: insert immediately, bump counters, record
 // provenance, and enforce the fact and context budgets.
 func (ev *evaluator) emit(r *compiledRule, tuple []Val, children []FactID) error {
 	ev.stats.Inferences++

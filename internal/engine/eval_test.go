@@ -361,3 +361,33 @@ func TestStrategyString(t *testing.T) {
 		t.Error("unknown strategy should render")
 	}
 }
+
+// TestOptionsValidation rejects out-of-domain options up front. Workers
+// survives only as a deprecated field: 0 and 1 are accepted, and any other
+// value fails because there is no parallel evaluator to select.
+func TestOptionsValidation(t *testing.T) {
+	p := parser.MustParseProgram(`t(X, Y) :- e(X, Y).`)
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"negative workers", Options{Workers: -1}},
+		{"two workers", Options{Workers: 2}},
+		{"negative max iterations", Options{MaxIterations: -5}},
+		{"negative max facts", Options{MaxFacts: -2}},
+	} {
+		db := NewDB()
+		db.MustInsert("e", db.Store.Int(1), db.Store.Int(2))
+		_, err := Eval(p, db, tc.opts)
+		if !errors.Is(err, ErrBadOptions) {
+			t.Errorf("%s: err = %v, want ErrBadOptions", tc.name, err)
+		}
+	}
+	for _, opts := range []Options{{}, {Workers: 1}} {
+		db := NewDB()
+		db.MustInsert("e", db.Store.Int(1), db.Store.Int(2))
+		if _, err := Eval(p, db, opts); err != nil {
+			t.Errorf("opts %+v: unexpected error %v", opts, err)
+		}
+	}
+}

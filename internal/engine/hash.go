@@ -46,8 +46,7 @@ func (r *Relation) hashRowCols(row int32, cols []int) uint64 {
 }
 
 // hashPredTuple hashes a (predicate, tuple) pair: the fact identity used by
-// provenance and the parallel workers' same-round dedup, replacing the old
-// pred + "\x00" + varint-encoded string keys.
+// provenance, replacing the old pred + "\x00" + varint-encoded string keys.
 func hashPredTuple(pred string, tuple []Val) uint64 {
 	h := uint64(fnvOffset)
 	for i := 0; i < len(pred); i++ {

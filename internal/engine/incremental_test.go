@@ -63,13 +63,13 @@ func dumpLive(db *DB) map[string]bool {
 
 // scratchFixpoint evaluates prog from scratch over facts and returns the
 // live-fact dump, the reference the incremental state must match.
-func scratchFixpoint(t *testing.T, prog *ast.Program, facts []ast.Atom, workers int) map[string]bool {
+func scratchFixpoint(t *testing.T, prog *ast.Program, facts []ast.Atom) map[string]bool {
 	t.Helper()
 	db := NewDB()
 	if err := LoadFacts(db, facts); err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	if _, err := Eval(prog, db, Options{Workers: workers}); err != nil {
+	if _, err := Eval(prog, db, Options{}); err != nil {
 		t.Fatalf("eval: %v", err)
 	}
 	return dumpLive(db)
@@ -108,7 +108,7 @@ func TestMaterializeInitialBuild(t *testing.T) {
 			if err != nil {
 				t.Fatalf("materialize: %v", err)
 			}
-			want := scratchFixpoint(t, u.Program(), u.Facts, 1)
+			want := scratchFixpoint(t, u.Program(), u.Facts)
 			diffDump(t, name, want, dumpLive(m.DB()))
 		})
 	}
@@ -145,10 +145,10 @@ func TestIncrementalDifferential(t *testing.T) {
 		"mutual":        {"zero", "succ"},
 	}
 	for name, src := range incrementalPrograms {
-		for _, workers := range []int{1, 8} {
-			t.Run(fmt.Sprintf("%s/w=%d", name, workers), func(t *testing.T) {
+		for _, seed := range []int64{1, 8} {
+			t.Run(fmt.Sprintf("%s/seed=%d", name, seed), func(t *testing.T) {
 				u := mustUnit(t, src)
-				rng := rand.New(rand.NewSource(int64(len(name))*31 + int64(workers)))
+				rng := rand.New(rand.NewSource(int64(len(name))*31 + seed))
 				m, err := Materialize(u.Program(), u.Facts, MaterializeOptions{})
 				if err != nil {
 					t.Fatalf("materialize: %v", err)
@@ -193,7 +193,7 @@ func TestIncrementalDifferential(t *testing.T) {
 					for _, a := range live {
 						facts = append(facts, a)
 					}
-					want := scratchFixpoint(t, u.Program(), facts, workers)
+					want := scratchFixpoint(t, u.Program(), facts)
 					diffDump(t, fmt.Sprintf("batch %d (stats %+v)", batch, st), want, dumpLive(m.DB()))
 					if t.Failed() {
 						t.FailNow()
@@ -380,7 +380,7 @@ func TestApplyContextCanceled(t *testing.T) {
 	if _, err := m.Apply(context.Background(), []ast.Atom{atom(t, "e(64,65)")}, nil); err != nil {
 		t.Fatalf("recovery apply: %v", err)
 	}
-	want := scratchFixpoint(t, u.Program(), append(facts, atom(t, "e(64,65)")), 1)
+	want := scratchFixpoint(t, u.Program(), append(facts, atom(t, "e(64,65)")))
 	diffDump(t, "after cancel+recover", want, dumpLive(m.DB()))
 }
 

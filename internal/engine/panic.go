@@ -7,15 +7,12 @@ import (
 )
 
 // This file is the engine's panic-isolation layer. A panic anywhere in the
-// evaluation hot paths — arena growth, index probes, worker joins, rule
+// evaluation hot paths — arena growth, index probes, joins, rule
 // compilation — must fail the one evaluation that hit it, not the process
 // hosting thousands of others. Every entry point into evaluator code runs
 // behind a recover barrier that converts panics into a typed *PanicError
 // wrapping ErrInternal, carrying the panic value and stack for the caller's
-// logs. A panic inside a parallel worker additionally triggers graceful
-// degradation: Eval retries the evaluation once sequentially (the parallel
-// machinery — shared frozen indexes, buffer merges — is the most likely
-// culprit) before giving up.
+// logs.
 
 // ErrInternal is returned (wrapped by *PanicError) when evaluation or plan
 // compilation panics. The process survives; the evaluation's DB is left in
@@ -26,9 +23,8 @@ var ErrInternal = errors.New("engine: internal error")
 // PanicError is a recovered panic: the site that caught it, the panic
 // value, and the goroutine stack at recovery. It wraps ErrInternal.
 type PanicError struct {
-	// Where names the recovery barrier: "compile", "eval" (sequential),
-	// "parallel" (coordinator), "worker", "load", or "stream" (the
-	// streaming executor, internal/stream).
+	// Where names the recovery barrier: "compile", "eval", "load", or
+	// "stream" (the streaming executor, internal/stream).
 	Where string
 	// Value is the value passed to panic.
 	Value any
@@ -54,11 +50,4 @@ func recoverTo(where string, err *error) {
 	if r := recover(); r != nil {
 		*err = newPanicError(where, r)
 	}
-}
-
-// workerPanicked reports whether err is a recovered parallel-worker panic,
-// the one failure class Eval degrades to sequential evaluation for.
-func workerPanicked(err error) bool {
-	var pe *PanicError
-	return errors.As(err, &pe) && pe.Where == "worker"
 }

@@ -20,10 +20,9 @@ import (
 // the Val words, resolved against the arena on collision — no tuple is
 // ever varint-encoded into a string key, and an insert allocates only when
 // the arena or a table doubles. Rows are immutable once written, which
-// makes every read-side operation (Tuple, Contains, Round, probeFrozen)
+// makes every read-side operation (Tuple, Contains, Round, ProbeIndexed)
 // safe for concurrent readers while the relation is frozen between
-// mutations — the property the parallel evaluator's in-round probes rely
-// on.
+// mutations.
 //
 // Deletion (incremental maintenance) never moves rows: Delete removes the
 // tuple from the membership table and stamps rounds[row] = -1, the dead
@@ -426,8 +425,8 @@ func (r *Relation) ensureIndex(cols []int) *index {
 // Probe returns the positions of tuples whose projection on cols equals
 // key (a slice of Vals aligned with cols). An index on cols is built on
 // first use; callers should not pass empty cols. Like the rest of the
-// mutating surface it is single-threaded; concurrent workers use
-// probeFrozen.
+// mutating surface it is single-threaded; concurrent readers use
+// ProbeIndexed.
 func (r *Relation) Probe(cols []int, key []Val) []int32 {
 	faultinject.Hit(faultinject.IndexProbe)
 	ix := r.ensureIndex(cols)
@@ -473,21 +472,6 @@ func (r *Relation) ProbeIndexed(cols []int, key []Val) ([]int32, bool) {
 	}
 	faultinject.Hit(faultinject.IndexProbe)
 	return ix.probe(r, key), true
-}
-
-// probeFrozen probes a prebuilt index without mutating the relation, so
-// concurrent workers can share it during a round: no lazy index build and
-// no scratch state — the probe hashes the key and reads the table. cols
-// must be sorted ascending (the compiler emits bound columns in column
-// order) and the index must have been built up front from the rule's index
-// plan; probing an unplanned index is a scheduling bug and panics.
-func (r *Relation) probeFrozen(cols []int, key []Val) []int32 {
-	faultinject.Hit(faultinject.IndexProbe)
-	ix := r.indexes[colMask(cols)]
-	if ix == nil {
-		panic(fmt.Sprintf("engine: frozen probe of unplanned index %v", cols))
-	}
-	return ix.probe(r, key)
 }
 
 // StorageFootprint reports the relation's memory shape: arena bytes
@@ -636,11 +620,11 @@ func (db *DB) StorageStats() obsv.StorageStats {
 }
 
 // resetRounds zeroes every live row's insertion-round stamp, turning all
-// current facts into base state for a fresh fixpoint. Eval uses it before
-// the sequential retry after a parallel worker panic: the stamps left by
-// the aborted parallel rounds would otherwise fall outside the retry's
-// semi-naive delta windows and break completeness. Dead rows keep their
-// -1 sentinel — zeroing it would resurrect deleted facts.
+// current facts into base state for a fresh fixpoint. Incremental
+// maintenance uses it before each wave loop: stamps left by earlier
+// evaluations would otherwise fall outside the loop's round windows and
+// break completeness. Dead rows keep their -1 sentinel — zeroing it would
+// resurrect deleted facts.
 func (db *DB) resetRounds() {
 	for _, r := range db.relations {
 		for i := range r.rounds {

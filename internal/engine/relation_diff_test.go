@@ -183,9 +183,9 @@ func TestRelationDifferential(t *testing.T) {
 }
 
 // TestRelationFrozenProbeRace hammers a frozen relation's read paths
-// (Contains and probeFrozen) from 8 goroutines while checking results, the
-// regime parallel rounds run in. Under -race this pins the claim that the
-// arena design removed all shared probe scratch.
+// (Contains and ProbeIndexed) from 8 goroutines while checking results.
+// Under -race this pins the claim that the arena design removed all shared
+// probe scratch, so readers may share a relation between mutations.
 func TestRelationFrozenProbeRace(t *testing.T) {
 	const n = 4096
 	rel := NewRelation(2)
@@ -213,13 +213,13 @@ func TestRelationFrozenProbeRace(t *testing.T) {
 					return
 				}
 				key[0] = Val(x / 8)
-				if got := len(rel.probeFrozen([]int{0}, key)); got != 8 {
-					done <- fmt.Errorf("goroutine %d: probe col0 %v returned %d rows, want 8", g, key, got)
+				if got, _ := rel.ProbeIndexed([]int{0}, key); len(got) != 8 {
+					done <- fmt.Errorf("goroutine %d: probe col0 %v returned %d rows, want 8", g, key, len(got))
 					return
 				}
 				key[0] = Val(x)
-				if got := len(rel.probeFrozen([]int{1}, key)); got != 1 {
-					done <- fmt.Errorf("goroutine %d: probe col1 %v returned %d rows, want 1", g, key, got)
+				if got, _ := rel.ProbeIndexed([]int{1}, key); len(got) != 1 {
+					done <- fmt.Errorf("goroutine %d: probe col1 %v returned %d rows, want 1", g, key, len(got))
 					return
 				}
 			}

@@ -91,93 +91,16 @@ func TestCompileGuardConvertsPanics(t *testing.T) {
 	}
 }
 
-// TestWorkerPanicDegradesToSequential arms the worker-start point so every
-// parallel worker dies immediately, and checks that Eval still produces
-// the complete, correct answer set via the sequential retry, flagged
-// Degraded.
-func TestWorkerPanicDegradesToSequential(t *testing.T) {
-	const n = 12
-	want, err := tcAnswerSet(n, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	disable := faultinject.Enable(faultinject.Config{
-		Seed: 1, MaxPeriod: 1, Points: []faultinject.Point{faultinject.WorkerStart},
-	})
-	defer disable()
-	for _, workers := range []int{2, 4, 8} {
-		db := chainDB(n)
-		res, err := Eval(tcProgram(), db, Options{Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: degraded eval failed: %v", workers, err)
-		}
-		if !res.Stats.Degraded {
-			t.Errorf("workers=%d: Stats.Degraded = false after worker panics", workers)
-		}
-		q, _ := parser.ParseAtom("t(X, Y)")
-		got, err := AnswerSet(db, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameSet(got, want) {
-			t.Errorf("workers=%d: degraded answers differ: %d vs %d", workers, len(got), len(want))
-		}
-	}
-	if fired := faultinject.Fired()[faultinject.WorkerStart]; fired == 0 {
-		t.Error("worker-start point never fired")
-	}
-}
-
-// TestWorkerPanicMidEvaluationDegrades fires inside the parallel join path
-// (index probes) instead of at worker start, so the panic lands after some
-// rounds have already merged; the sequential retry must still complete the
-// fixpoint from that partial state.
-func TestWorkerPanicMidEvaluationDegrades(t *testing.T) {
-	const n = 24
-	want, err := tcAnswerSet(n, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	disable := faultinject.Enable(faultinject.Config{
-		// A generous period lets a few rounds merge before the fault lands.
-		Seed: 7, MaxPeriod: 500, Points: []faultinject.Point{faultinject.IndexProbe},
-	})
-	defer disable()
-	db := chainDB(n)
-	res, err := Eval(tcProgram(), db, Options{Workers: 4})
-	if err != nil {
-		// The sequential retry also probes indexes, so with an armed
-		// index-probe point the retry itself may fault; that must still be
-		// a typed internal error, not a crash.
-		if !errors.Is(err, ErrInternal) {
-			t.Fatalf("err = %v, want ErrInternal", err)
-		}
-		return
-	}
-	if !res.Stats.Degraded {
-		t.Skip("fault did not land in a worker this schedule; nothing to assert")
-	}
-	q, _ := parser.ParseAtom("t(X, Y)")
-	got, aerr := AnswerSet(db, q)
-	if aerr != nil {
-		t.Fatal(aerr)
-	}
-	if !sameSet(got, want) {
-		t.Errorf("degraded answers differ: %d vs %d", len(got), len(want))
-	}
-}
-
-// TestMemoryBudget checks ErrMemoryBudget fires on both evaluators when
+// TestMemoryBudget checks ErrMemoryBudget fires under both strategies when
 // the storage footprint exceeds MaxBytes, and that a generous budget does
 // not interfere.
 func TestMemoryBudget(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		name := fmt.Sprintf("workers=%d", workers)
-		t.Run(name, func(t *testing.T) {
+	for _, strategy := range []Strategy{SemiNaive, Naive} {
+		t.Run(strategy.String(), func(t *testing.T) {
 			// chainDB(64) closes to 2016 t-facts: comfortably over 1 KiB of
 			// arena, so a tiny budget must trip.
 			db := chainDB(64)
-			_, err := Eval(tcProgram(), db, Options{Workers: workers, MaxBytes: 1024})
+			_, err := Eval(tcProgram(), db, Options{Strategy: strategy, MaxBytes: 1024})
 			if !errors.Is(err, ErrMemoryBudget) {
 				t.Fatalf("tiny budget: err = %v, want ErrMemoryBudget", err)
 			}
@@ -191,7 +114,7 @@ func TestMemoryBudget(t *testing.T) {
 			}
 
 			db = chainDB(64)
-			if _, err := Eval(tcProgram(), db, Options{Workers: workers, MaxBytes: 64 << 20}); err != nil {
+			if _, err := Eval(tcProgram(), db, Options{Strategy: strategy, MaxBytes: 64 << 20}); err != nil {
 				t.Fatalf("generous budget: %v", err)
 			}
 		})
@@ -208,8 +131,8 @@ func TestMemoryBudgetValidation(t *testing.T) {
 
 // TestInjectionDisabledDifferential pins the no-fault invariant the chaos
 // suite relies on: with the harness disarmed, evaluations over the
-// instrumented paths produce identical answers to each other across worker
-// counts.
+// instrumented paths (budget checks, tracing, provenance) produce answers
+// identical to a plain run.
 func TestInjectionDisabledDifferential(t *testing.T) {
 	if faultinject.Enabled() {
 		t.Fatal("harness armed at test start")
@@ -218,30 +141,28 @@ func TestInjectionDisabledDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 4, 8} {
-		got, err := tcAnswerSet(16, Options{Workers: workers})
+	for i, opts := range []Options{
+		{MaxBytes: 64 << 20, MaxFacts: 1 << 20, MaxIterations: 1 << 10},
+		{Trace: true},
+		{Provenance: true},
+	} {
+		got, err := tcAnswerSet(16, opts)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("case %d: %v", i, err)
 		}
 		if !sameSet(got, want) {
-			t.Errorf("workers=%d: answers differ from sequential", workers)
+			t.Errorf("case %d (%+v): answers differ from the plain run", i, opts)
 		}
 	}
 }
 
 // TestPanicErrorRendering pins the error text callers log.
 func TestPanicErrorRendering(t *testing.T) {
-	pe := newPanicError("worker", "boom")
-	if !errors.Is(pe, ErrInternal) {
+	pe := newPanicError("eval", "boom")
+	if !errors.Is(fmt.Errorf("wrapped: %w", pe), ErrInternal) {
 		t.Error("PanicError does not wrap ErrInternal")
 	}
-	if want := "engine: internal error: panic in worker: boom"; pe.Error() != want {
+	if want := "engine: internal error: panic in eval: boom"; pe.Error() != want {
 		t.Errorf("Error() = %q, want %q", pe.Error(), want)
-	}
-	if !workerPanicked(fmt.Errorf("wrapped: %w", pe)) {
-		t.Error("workerPanicked misses wrapped worker panics")
-	}
-	if workerPanicked(newPanicError("eval", "boom")) {
-		t.Error("workerPanicked claims non-worker panics")
 	}
 }

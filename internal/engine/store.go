@@ -40,7 +40,7 @@ type storeChunk [storeChunkSize]entry
 // concurrent use; the read-side accessors (IsConst, Functor, Args, String,
 // ...) are lock-free and may run concurrently with interning, provided each
 // Val read was published to the reading goroutine by a synchronizing
-// operation — the parallel evaluator's round barriers provide exactly that.
+// operation (a mutex, channel, or atomic handoff).
 type Store struct {
 	mu        sync.Mutex
 	consts    map[string]Val

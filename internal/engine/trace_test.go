@@ -171,33 +171,6 @@ func TestSpanTreeSequential(t *testing.T) {
 	}
 }
 
-func TestSpanTreeParallel(t *testing.T) {
-	tc := spanTC(t, Options{Workers: 3})
-	counts := spanNames(tc)
-	if counts["stratum"] < 1 {
-		t.Errorf("parallel trace has %d stratum spans, want >= 1", counts["stratum"])
-	}
-	if counts["round"] < 2 {
-		t.Errorf("parallel trace has %d round spans, want >= 2", counts["round"])
-	}
-	if counts["worker"] != 3 {
-		t.Errorf("parallel trace has %d worker spans, want 3", counts["worker"])
-	}
-	// The derived-fact totals attributed to strata must cover every derived
-	// fact (TC derives t-tuples in its single recursive stratum).
-	var out int64
-	for _, ev := range tc.Root().Children() {
-		for _, s := range ev.Children() {
-			if s.Name == "stratum" {
-				out += s.TuplesOut
-			}
-		}
-	}
-	if out == 0 {
-		t.Error("stratum spans attribute no derived tuples")
-	}
-}
-
 // TestSpanOffZeroAllocs extends the Trace=false contract to Options.Span:
 // with no span, the span hooks on the round path must not allocate.
 func TestSpanOffZeroAllocs(t *testing.T) {

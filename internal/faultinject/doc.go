@@ -14,8 +14,8 @@
 // concurrency the set of firing call-counts is still fixed by the seed even
 // though which goroutine draws the firing count is not.
 //
-// The point catalog covers storage (ArenaGrow, IndexProbe), parallel
-// evaluation (WorkerStart), plan compilation (PlanCompile), cancellation
+// The point catalog covers storage (ArenaGrow, IndexProbe), plan
+// compilation (PlanCompile), cancellation
 // (ContextCheck), the streaming executor (StreamNext), the mutation
 // path (FactsApply, DeltaWave, MatRefresh) — which prove that a
 // fault mid-batch rolls the base EDB back, leaves the epoch unchanged, and

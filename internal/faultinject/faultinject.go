@@ -14,11 +14,8 @@ const (
 	// the moment a real allocation failure or corruption would surface in
 	// storage (internal/engine.Relation.InsertRound).
 	ArenaGrow Point = iota
-	// WorkerStart fires as a parallel evaluation worker begins its unit
-	// loop (internal/engine.runRound), exercising worker-panic degradation.
-	WorkerStart
-	// IndexProbe fires on a frozen index probe (internal/engine
-	// Relation.probeFrozen), the parallel evaluator's hottest read path.
+	// IndexProbe fires on every hash-index probe (internal/engine
+	// Relation.Probe and ProbeIndexed), the evaluator's hottest read path.
 	IndexProbe
 	// PlanCompile fires as the plan cache compiles a new plan
 	// (internal/pipeline.PlanCache), exercising compile-failure handling
@@ -67,7 +64,6 @@ const (
 
 var pointNames = [NumPoints]string{
 	ArenaGrow:     "arena-grow",
-	WorkerStart:   "worker-start",
 	IndexProbe:    "index-probe",
 	PlanCompile:   "plan-compile",
 	ContextCheck:  "context-check",

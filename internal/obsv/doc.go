@@ -1,15 +1,13 @@
 // Package obsv is the observability layer: plain record types shared by the
-// engine (per-rule, per-round, per-stratum and per-worker evaluation
-// counters), the pipeline (stage spans), and the command-line and server
+// engine (per-rule, per-round and per-stratum evaluation counters), the pipeline (stage spans), and the command-line and server
 // surfaces (plan-cache counters, latency histograms), plus text renderers
 // for each. It is deliberately dependency-free and knows nothing about
 // Datalog — producers fill the records, obsv formats them.
 //
 // None of the record types synchronize internally: single-threaded
-// producers (the sequential evaluator) write them directly, and concurrent
-// producers (the parallel evaluator's workers, the query server's request
-// handlers) either keep per-worker records that a coordinator folds at a
-// barrier or guard shared records with their own lock.
+// producers (the evaluator) write them directly, and concurrent producers
+// (the query server's request handlers) guard shared records with their
+// own lock.
 //
 // The JSON tags define the schemas of the machine-readable metrics
 // documents: `factorbench -json` emits the evaluation records (schema

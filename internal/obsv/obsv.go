@@ -42,9 +42,10 @@ type RoundStats struct {
 	Wall time.Duration `json:"wall_ns"`
 }
 
-// StratumStats describes one stratum of a parallel stratified evaluation:
-// one strongly connected component of the predicate dependency graph,
-// evaluated either in a single pass (non-recursive) or to a local fixpoint.
+// StratumStats describes one stratum of a stratified evaluation (the
+// streaming executor, internal/stream): one strongly connected component
+// of the predicate dependency graph, evaluated either in a single pass
+// (non-recursive) or to a local fixpoint.
 type StratumStats struct {
 	// Index is the stratum's position in the topological schedule.
 	Index int `json:"index"`
@@ -59,22 +60,8 @@ type StratumStats struct {
 	Rounds int `json:"rounds"`
 	// NewFacts counts facts first derived in this stratum.
 	NewFacts int `json:"new_facts"`
-	// Wall is the stratum's wall-clock time, including merge barriers.
+	// Wall is the stratum's wall-clock time.
 	Wall time.Duration `json:"wall_ns"`
-}
-
-// WorkerStats describes one evaluation worker of a parallel run.
-type WorkerStats struct {
-	// Worker is the worker's index (0-based).
-	Worker int `json:"worker"`
-	// Units counts the work units (rule x delta-occurrence x shard) the
-	// worker executed.
-	Units int `json:"units"`
-	// Tuples counts head tuples the worker buffered, before barrier-merge
-	// deduplication.
-	Tuples int `json:"tuples"`
-	// Busy is the total wall-clock time the worker spent inside units.
-	Busy time.Duration `json:"busy_ns"`
 }
 
 // Span traces one pipeline stage: a program-to-program transformation (or
@@ -286,19 +273,6 @@ func StratumTable(strata []StratumStats) string {
 		fmt.Fprintf(w, "%d\t%s\t%s\t%d\t%d\t%d\t%s\n",
 			s.Index, strings.Join(s.Preds, ","), rec, s.Rules, s.Rounds,
 			s.NewFacts, FormatDuration(s.Wall))
-	}
-	w.Flush()
-	return b.String()
-}
-
-// WorkerTable renders per-worker records as an aligned table.
-func WorkerTable(workers []WorkerStats) string {
-	var b strings.Builder
-	w := newTable(&b)
-	fmt.Fprintln(w, "worker\tunits\ttuples\tbusy")
-	for _, ws := range workers {
-		fmt.Fprintf(w, "%d\t%d\t%d\t%s\n",
-			ws.Worker, ws.Units, ws.Tuples, FormatDuration(ws.Busy))
 	}
 	w.Flush()
 	return b.String()

@@ -76,7 +76,6 @@ func PromExposition(s ServerStats) string {
 	counter("factorlog_admission_queue_timeouts_total", "Requests whose context ended while queued.", a.QueueTimeouts)
 
 	counter("factorlog_eval_panics_total", "Evaluations that ended in a recovered panic.", s.Resilience.Panics)
-	counter("factorlog_degraded_evals_total", "Evaluations that fell back from parallel to sequential.", s.Resilience.Degraded)
 	counter("factorlog_memory_budget_stops_total", "Evaluations stopped by the memory budget.", s.Resilience.MemoryBudgetStops)
 	counter("factorlog_drained_requests_total", "Requests refused because the server was draining.", s.Resilience.Drained)
 

@@ -36,7 +36,7 @@ func sampleStats() ServerStats {
 		Resilience: ResilienceStats{
 			Admission: AdmissionStats{Capacity: 8, InUse: 1, QueueLimit: 64,
 				Admitted: 40, Queued: 5, Shed: 1, QueueTimeouts: 1},
-			Panics: 1, Degraded: 1, MemoryBudgetStops: 1, Drained: 1,
+			Panics: 1, MemoryBudgetStops: 1, Drained: 1,
 		},
 	}
 }

@@ -37,9 +37,6 @@ type ResilienceStats struct {
 	// Panics counts evaluations that ended in a recovered panic
 	// (engine.ErrInternal responses).
 	Panics int64 `json:"panics"`
-	// Degraded counts evaluations that fell back from parallel to
-	// sequential after a worker panic and then succeeded.
-	Degraded int64 `json:"degraded"`
 	// MemoryBudgetStops counts evaluations stopped by engine.ErrMemoryBudget.
 	MemoryBudgetStops int64 `json:"memory_budget_stops"`
 	// Drained counts requests refused with 503 because the server was
@@ -59,7 +56,7 @@ func ResilienceLines(r ResilienceStats) string {
 	var b strings.Builder
 	b.WriteString(AdmissionLine(r.Admission))
 	b.WriteByte('\n')
-	fmt.Fprintf(&b, "failures: %d panics, %d degraded, %d memory-budget stops, %d drained\n",
-		r.Panics, r.Degraded, r.MemoryBudgetStops, r.Drained)
+	fmt.Fprintf(&b, "failures: %d panics, %d memory-budget stops, %d drained\n",
+		r.Panics, r.MemoryBudgetStops, r.Drained)
 	return b.String()
 }

@@ -108,7 +108,7 @@ func TestDurableAppendFailureUnwinds(t *testing.T) {
 		t.Fatalf("base has %d facts after unwind, want %d", len(got), before)
 	}
 	// The unwound base must serve the pre-batch answers.
-	want := scratchAnswers(t, p, mustAtom(t, "t(1, Y)"), SemiNaive, m.BaseFacts(), 1)
+	want := scratchAnswers(t, p, mustAtom(t, "t(1, Y)"), SemiNaive, m.BaseFacts())
 	resv, err := m.Serve(context.Background(), mustAtom(t, "t(1, Y)"), SemiNaive)
 	if err != nil {
 		t.Fatalf("serve: %v", err)
@@ -168,7 +168,7 @@ func TestWalDeltaRefreshAfterTrim(t *testing.T) {
 	if st := m.Stats(); st.WalDeltas != 1 || st.Deltas != 1 {
 		t.Fatalf("stats = deltas %d, wal deltas %d; want 1 and 1", st.Deltas, st.WalDeltas)
 	}
-	want := scratchAnswers(t, p, query, SemiNaive, m.BaseFacts(), 1)
+	want := scratchAnswers(t, p, query, SemiNaive, m.BaseFacts())
 	if diff := diffAnswers(res.Answers, want); diff != "" {
 		t.Fatalf("wal-delta answers: %s", diff)
 	}

@@ -15,7 +15,7 @@ import (
 // This file implements the plan half of EXPLAIN: a structured description
 // of what one strategy's compiled plan looks like — the transformed rule
 // set, which §4/§5 reductions applied, and the stratum schedule the
-// parallel evaluator would run. EXPLAIN ANALYZE adds the measured span tree
+// streaming executor would run. EXPLAIN ANALYZE adds the measured span tree
 // on top (the server composes the two; see cmd/factorlogd).
 
 // StratumPlan is one stratum of the plan's topological schedule.

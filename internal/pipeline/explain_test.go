@@ -124,21 +124,18 @@ func TestRunAttachesSpans(t *testing.T) {
 	}
 }
 
-// TestRunParallelSpansHaveStrata checks per-stratum timings flow into the
-// trace under parallel evaluation.
-func TestRunParallelSpansHaveStrata(t *testing.T) {
+// TestRunStreamSpansHaveStrata checks per-stratum timings flow into the
+// trace under the streaming executor, which evaluates stratum by stratum.
+func TestRunStreamSpansHaveStrata(t *testing.T) {
 	pl := tcPipeline()
 	tc := trace.New(trace.NewID())
-	_, err := pl.Run(Magic, chain(8)(), engine.Options{Span: tc.Root(), Workers: 2})
+	_, err := pl.Run(Magic, chain(8)(), engine.Options{Span: tc.Root(), Streaming: engine.StreamAuto})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tc.Finish()
 	if !strings.Contains(tc.Profile(), "stratum") {
-		t.Errorf("parallel run trace has no stratum spans:\n%s", tc.Profile())
-	}
-	if !strings.Contains(tc.Profile(), "worker") {
-		t.Errorf("parallel run trace has no worker spans:\n%s", tc.Profile())
+		t.Errorf("streamed run trace has no stratum spans:\n%s", tc.Profile())
 	}
 }
 

@@ -40,14 +40,14 @@ func edgeAtoms(t *testing.T, edges ...[2]int) []ast.Atom {
 // scratchAnswers evaluates strategy s from scratch over the materializer's
 // current base — the oracle every materialized serve must match.
 func scratchAnswers(t *testing.T, p *ast.Program, query ast.Atom, s Strategy,
-	base []ast.Atom, workers int) map[string]bool {
+	base []ast.Atom) map[string]bool {
 	t.Helper()
 	db := engine.NewDB()
 	if err := engine.LoadFacts(db, base); err != nil {
 		t.Fatalf("load base: %v", err)
 	}
 	pl := New(p, query)
-	r, err := pl.Run(s, db, engine.Options{Workers: workers})
+	r, err := pl.Run(s, db, engine.Options{})
 	if err != nil {
 		t.Fatalf("scratch %v: %v", s, err)
 	}
@@ -105,11 +105,9 @@ func TestMaterializerDifferential(t *testing.T) {
 			if res.Epoch != m.Epoch() {
 				t.Errorf("%s: %v served epoch %d, materializer at %d", stage, s, res.Epoch, m.Epoch())
 			}
-			for _, workers := range []int{1, 4} {
-				want := scratchAnswers(t, p, query, s, m.BaseFacts(), workers)
-				if d := diffAnswers(res.Answers, want); d != "" {
-					t.Fatalf("%s: %v (workers=%d): materialized answers diverge: %s", stage, s, workers, d)
-				}
+			want := scratchAnswers(t, p, query, s, m.BaseFacts())
+			if d := diffAnswers(res.Answers, want); d != "" {
+				t.Fatalf("%s: %v: materialized answers diverge: %s", stage, s, d)
 			}
 		}
 	}
@@ -215,7 +213,7 @@ func TestMaterializerLogTruncationRebuild(t *testing.T) {
 	if res.Kind != "rebuild" {
 		t.Errorf("truncated-log serve kind = %q, want rebuild", res.Kind)
 	}
-	want := scratchAnswers(t, p, query, SemiNaive, m.BaseFacts(), 1)
+	want := scratchAnswers(t, p, query, SemiNaive, m.BaseFacts())
 	if d := diffAnswers(res.Answers, want); d != "" {
 		t.Errorf("rebuilt answers diverge: %s", d)
 	}
@@ -305,7 +303,7 @@ func TestMaterializerRefreshFaultRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("post-fault serve: %v", err)
 	}
-	want := scratchAnswers(t, p, query, SemiNaive, m.BaseFacts(), 1)
+	want := scratchAnswers(t, p, query, SemiNaive, m.BaseFacts())
 	if d := diffAnswers(res.Answers, want); d != "" {
 		t.Errorf("post-fault answers diverge: %s", d)
 	}

@@ -357,18 +357,14 @@ type RunResult struct {
 	// otherwise).
 	Rules  []obsv.RuleStats
 	Rounds []obsv.RoundStats
-	// Strata and Workers carry the parallel evaluator's per-stratum and
-	// per-worker records when tracing a run with engine.Options.Workers > 1.
-	Strata  []obsv.StratumStats
-	Workers []obsv.WorkerStats
+	// Strata carries the streaming executor's per-stratum records when
+	// tracing a run with engine.Options.Streaming set.
+	Strata []obsv.StratumStats
 	// EvalWall is the evaluation's wall-clock time.
 	EvalWall time.Duration
 	// Storage is the database's storage shape after evaluation: arena and
 	// index bytes, table counts, and hash-table load factors.
 	Storage obsv.StorageStats
-	// Degraded reports that a parallel evaluation lost a worker to a panic
-	// and the answers come from the sequential retry (engine.Stats.Degraded).
-	Degraded bool
 	// Executor names the bottom-up evaluator that ran: "stream" when the
 	// streaming relational-algebra executor handled the run (non-recursive
 	// strata as iterator pipelines, recursive ones delegated to the
@@ -588,10 +584,8 @@ func (pl *Pipeline) Run(s Strategy, db *engine.DB, evalOpts engine.Options) (*Ru
 			Rules:       stats.Rules,
 			Rounds:      stats.Rounds,
 			Strata:      stats.Strata,
-			Workers:     stats.Workers,
 			EvalWall:    wall,
 			Storage:     db.StorageStats(),
-			Degraded:    stats.Degraded,
 			Executor:    executor,
 			Stream:      streamStats,
 		}, nil
@@ -720,10 +714,8 @@ func (pl *Pipeline) runTransformed(s Strategy, prog *ast.Program, query ast.Atom
 		Rules:       stats.Rules,
 		Rounds:      stats.Rounds,
 		Strata:      stats.Strata,
-		Workers:     stats.Workers,
 		EvalWall:    wall,
 		Storage:     db.StorageStats(),
-		Degraded:    stats.Degraded,
 		Executor:    executor,
 		Stream:      streamStats,
 	}, nil
@@ -925,10 +917,6 @@ func ProfileTable(r *RunResult) string {
 	if len(r.Strata) > 0 {
 		b.WriteByte('\n')
 		b.WriteString(obsv.StratumTable(r.Strata))
-	}
-	if len(r.Workers) > 0 {
-		b.WriteByte('\n')
-		b.WriteString(obsv.WorkerTable(r.Workers))
 	}
 	if len(r.Rounds) > 0 {
 		b.WriteByte('\n')

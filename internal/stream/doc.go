@@ -24,7 +24,7 @@
 // relation's storage statistics and discarded when the evaluation ends —
 // streamed strata never grow the database's retained index footprint.
 // Recursive strata fall back to engine.Eval over the stratum's subprogram
-// (inheriting Workers, budgets, and cancellation), and every stratum output
+// (inheriting budgets and cancellation), and every stratum output
 // is materialized at its recursion/consumption boundary so later strata and
 // the answer projection read ordinary relations.
 //

@@ -36,7 +36,7 @@ const ctxCheckMask = 4096 - 1
 // Eval evaluates program p over db stratum by stratum: non-recursive strata
 // run once through composed iterator pipelines, recursive strata delegate
 // to engine.Eval's semi-naive fixpoint over the stratum's subprogram
-// (inheriting Workers, budgets, tracing, and cancellation). Derived
+// (inheriting budgets, tracing, and cancellation). Derived
 // relations are identical to engine.Eval's for every valid program; Stats
 // cost measures differ (see Result).
 //
@@ -115,8 +115,8 @@ func validate(opts engine.Options) error {
 	if opts.Strategy != engine.SemiNaive {
 		return fmt.Errorf("%w: streaming executor requires the semi-naive strategy", engine.ErrBadOptions)
 	}
-	if opts.Workers < 0 {
-		return fmt.Errorf("%w: Workers = %d (want >= 0)", engine.ErrBadOptions, opts.Workers)
+	if opts.Workers != 0 && opts.Workers != 1 {
+		return fmt.Errorf("%w: Workers = %d (want 0 or 1; evaluation is sequential)", engine.ErrBadOptions, opts.Workers)
 	}
 	if opts.MaxIterations < 0 {
 		return fmt.Errorf("%w: MaxIterations = %d (want >= 0)", engine.ErrBadOptions, opts.MaxIterations)
@@ -274,7 +274,6 @@ func (ev *streamEval) runFixpoint(sp *StratumPlan, span *trace.Span) (newFacts, 
 	subOpts := engine.Options{
 		Strategy:     engine.SemiNaive,
 		Context:      ev.opts.Context,
-		Workers:      ev.opts.Workers,
 		MaxBytes:     ev.opts.MaxBytes,
 		ReorderJoins: ev.opts.ReorderJoins,
 		Trace:        ev.opts.Trace,
@@ -300,7 +299,6 @@ func (ev *streamEval) runFixpoint(sp *StratumPlan, span *trace.Span) (newFacts, 
 		stats.Inferences += res.Stats.Inferences
 		stats.Derived += res.Stats.Derived
 		stats.Iterations += res.Stats.Iterations
-		stats.Degraded = stats.Degraded || res.Stats.Degraded
 		if ev.opts.Trace {
 			// Subprogram rule i is global rule sp.ruleIdxs[i]; fold its
 			// counters into the global record (labels are already set).

@@ -297,6 +297,7 @@ func TestStreamOptionValidation(t *testing.T) {
 		{Provenance: true},
 		{Strategy: engine.Naive},
 		{Workers: -1},
+		{Workers: 2},
 		{MaxFacts: -1},
 		{MaxIterations: -1},
 		{MaxBytes: -1},
@@ -341,26 +342,6 @@ func TestStreamBudgetsAndCancellation(t *testing.T) {
 	}
 	if _, err := Eval(prog, db, engine.Options{MaxIterations: 3}); !errors.Is(err, engine.ErrBudgetExceeded) {
 		t.Errorf("MaxIterations: err = %v, want ErrBudgetExceeded", err)
-	}
-}
-
-func TestStreamParallelRecursiveStrata(t *testing.T) {
-	prog := parser.MustParseProgram(mixedProgram)
-	store := engine.NewStore()
-	dbSeq := engine.NewDBWith(store)
-	loadMixedEDB(dbSeq, 16)
-	dbPar := dbSeq.Clone()
-
-	if _, err := Eval(prog, dbSeq, engine.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	res, err := Eval(prog, dbPar, engine.Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	diffRelations(t, relationSets(dbSeq), relationSets(dbPar))
-	if res.Stats.Degraded {
-		t.Error("parallel recursive stratum degraded unexpectedly")
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package trace implements query-scoped execution tracing: a bounded,
 // structured span tree that follows one query from the server's HTTP
 // handler through the rewrite pipeline (adorn, magic, factor, optimize)
-// and into engine evaluation (strata, rounds, rules, workers).
+// and into engine evaluation (strata, rounds, rules).
 //
 // The package is built around two rules that let the hot path stay hot:
 //
@@ -14,8 +14,7 @@
 //     one pathological query cannot hold unbounded trace memory.
 //
 // A Context is owned by exactly one query. Within it, spans may be created
-// and ended from multiple goroutines (parallel evaluation workers), guarded
-// by the Context's lock; each span's attribute fields are written only by
+// and ended from multiple goroutines, guarded by the Context's lock; each span's attribute fields are written only by
 // the goroutine that created it, between Child and End. Rendering (JSON,
 // Profile) is meant for finished traces — the server publishes a trace to
 // its rings only after Finish.
@@ -80,7 +79,7 @@ func NewLimit(id string, limit int) *Context {
 	}
 	now := time.Now()
 	c := &Context{id: id, started: now, start: now, limit: limit}
-	c.root = &Span{ctx: c, Name: "query", Rule: -1, Stratum: -1, Round: -1, Worker: -1, start: now}
+	c.root = &Span{ctx: c, Name: "query", Rule: -1, Stratum: -1, Round: -1, start: now}
 	c.n = 1
 	return c
 }
@@ -173,7 +172,6 @@ func (c *Context) newSpan(parent *Span, name string) *Span {
 		Rule:     -1,
 		Stratum:  -1,
 		Round:    -1,
-		Worker:   -1,
 		start:    now,
 		startOff: now.Sub(c.start),
 	}
@@ -183,9 +181,8 @@ func (c *Context) newSpan(parent *Span, name string) *Span {
 }
 
 // Span is one node of the trace tree. Name identifies what ran (a pipeline
-// stage, "eval", "stratum", "round", "rule", "worker"); the -1-defaulted
-// index fields locate it (rule index, stratum index, round number, worker
-// index); TuplesIn/TuplesOut carry the stage's data volume (candidates
+// stage, "eval", "stratum", "round", "rule"); the -1-defaulted index
+// fields locate it (rule index, stratum index, round number); TuplesIn/TuplesOut carry the stage's data volume (candidates
 // examined / new facts); Allocs and AllocBytes the heap delta where the
 // producer sampled it. Attribute fields are written by the creating
 // goroutine between Child and End — use the nil-safe Set helpers so untraced
@@ -197,7 +194,6 @@ type Span struct {
 	Rule       int // rule index in the evaluated program; -1 when n/a
 	Stratum    int // stratum index in the topological schedule; -1 when n/a
 	Round      int // fixpoint round; -1 when n/a
-	Worker     int // evaluation worker; -1 when n/a
 	TuplesIn   int64
 	TuplesOut  int64
 	Allocs     uint64
@@ -295,13 +291,6 @@ func (s *Span) SetRound(r int) *Span {
 	return s
 }
 
-func (s *Span) SetWorker(w int) *Span {
-	if s != nil {
-		s.Worker = w
-	}
-	return s
-}
-
 func (s *Span) SetTuples(in, out int64) *Span {
 	if s != nil {
 		s.TuplesIn, s.TuplesOut = in, out
@@ -346,7 +335,6 @@ type spanJSON struct {
 	Rule       *int       `json:"rule,omitempty"`
 	Stratum    *int       `json:"stratum,omitempty"`
 	Round      *int       `json:"round,omitempty"`
-	Worker     *int       `json:"worker,omitempty"`
 	TuplesIn   int64      `json:"tuples_in,omitempty"`
 	TuplesOut  int64      `json:"tuples_out,omitempty"`
 	Allocs     uint64     `json:"allocs,omitempty"`
@@ -372,7 +360,6 @@ func (s *Span) jsonTree() spanJSON {
 		Rule:       optInt(s.Rule),
 		Stratum:    optInt(s.Stratum),
 		Round:      optInt(s.Round),
-		Worker:     optInt(s.Worker),
 		TuplesIn:   s.TuplesIn,
 		TuplesOut:  s.TuplesOut,
 		Allocs:     s.Allocs,
@@ -461,9 +448,6 @@ func writeProfileLine(b *strings.Builder, s spanJSON, depth int) {
 	}
 	if s.Rule != nil {
 		fmt.Fprintf(b, " #%d", *s.Rule)
-	}
-	if s.Worker != nil {
-		fmt.Fprintf(b, " %d", *s.Worker)
 	}
 	fmt.Fprintf(b, "  %s", time.Duration(s.WallNS).Round(time.Microsecond))
 	if s.TuplesIn > 0 || s.TuplesOut > 0 {

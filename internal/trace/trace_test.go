@@ -203,11 +203,11 @@ func TestRing(t *testing.T) {
 
 // TestConcurrentTracesDoNotInterleave runs many traced "queries" in
 // parallel, each building its own Context the way the engine does (strata,
-// rounds, concurrent worker spans), and checks every span landed in its own
+// rounds, rule spans — here created concurrently), and checks every span landed in its own
 // query's tree with the expected counts. Run under -race this also proves
 // the locking discipline.
 func TestConcurrentTracesDoNotInterleave(t *testing.T) {
-	const queries, rounds, workers = 16, 8, 4
+	const queries, rounds, rules = 16, 8, 4
 	traces := make([]*Context, queries)
 	var wg sync.WaitGroup
 	for q := 0; q < queries; q++ {
@@ -220,15 +220,14 @@ func TestConcurrentTracesDoNotInterleave(t *testing.T) {
 			st := eval.Child("stratum").SetStratum(0)
 			for r := 0; r < rounds; r++ {
 				rs := st.Child("round").SetRound(r).SetNote(c.ID())
-				// Concurrent children of one round, like parallel workers.
+				// Concurrent children of one round exercise the lock.
 				var rwg sync.WaitGroup
-				for w := 0; w < workers; w++ {
+				for r := 0; r < rules; r++ {
 					rwg.Add(1)
-					go func(w int) {
+					go func(r int) {
 						defer rwg.Done()
-						ws := rs.Child("worker").SetWorker(w).SetNote(c.ID())
-						ws.End()
-					}(w)
+						rs.Child("rule").SetRule(r).SetNote(c.ID()).End()
+					}(r)
 				}
 				rwg.Wait()
 				rs.End()
@@ -241,7 +240,7 @@ func TestConcurrentTracesDoNotInterleave(t *testing.T) {
 	wg.Wait()
 
 	for q, c := range traces {
-		wantSpans := 3 + rounds + rounds*workers // root + eval + stratum + rounds + workers
+		wantSpans := 3 + rounds + rounds*rules // root + eval + stratum + rounds + rules
 		if got := c.Spans(); got != wantSpans {
 			t.Errorf("query %d: spans = %d, want %d", q, got, wantSpans)
 		}

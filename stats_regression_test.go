@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"factorlog/internal/engine"
+	"factorlog/internal/experiments"
 	"factorlog/internal/parser"
 	"factorlog/internal/pipeline"
 )
@@ -87,5 +88,55 @@ func TestExample44StatsRegression(t *testing.T) {
 		results[pipeline.Magic].Inferences < results[pipeline.Naive].Inferences) {
 		t.Errorf("inference ordering broken: opt=%d magic=%d naive=%d",
 			opt.Inferences, results[pipeline.Magic].Inferences, results[pipeline.Naive].Inferences)
+	}
+}
+
+// TestE1StatsRegression pins the paper's deterministic cost measures on
+// factorbench's E1 workload (the three-rule transitive closure over a
+// 256-edge chain, query t(85,Y)): inferences, derived facts, and max IDB
+// arity per strategy. Evaluation has a single sequential evaluator, so the
+// counters are exact on every run and any drift is a real change to an
+// evaluator or a rewrite. The same numbers appear in `factorbench -json`.
+func TestE1StatsRegression(t *testing.T) {
+	pl, load := experiments.E1Pipeline(256)
+	want := []struct {
+		strategy   pipeline.Strategy
+		inferences int
+		facts      int
+		arity      int
+	}{
+		{pipeline.SemiNaive, 2_828_545, 32_640, 2},
+		{pipeline.Magic, 877_973, 15_049, 2},
+		{pipeline.SupplementaryMagic, 893_206, 30_270, 2},
+		{pipeline.Factored, 10_088_830, 685, 1},
+		{pipeline.FactoredOptimized, 516, 514, 1},
+	}
+	inferences := map[pipeline.Strategy]int{}
+	for _, w := range want {
+		r, err := pl.Run(w.strategy, load(), engine.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", w.strategy, err)
+		}
+		inferences[w.strategy] = r.Inferences
+		if len(r.Answers) != 171 {
+			t.Errorf("%s: %d answers, want 171", w.strategy, len(r.Answers))
+		}
+		if r.Inferences != w.inferences {
+			t.Errorf("%s: Inferences = %d, want %d", w.strategy, r.Inferences, w.inferences)
+		}
+		if r.Facts != w.facts {
+			t.Errorf("%s: Facts = %d, want %d", w.strategy, r.Facts, w.facts)
+		}
+		if r.MaxIDBArity != w.arity {
+			t.Errorf("%s: MaxIDBArity = %d, want %d", w.strategy, r.MaxIDBArity, w.arity)
+		}
+	}
+
+	// The headline: factoring plus the Section 5 clean-up does 1/1701 of
+	// magic's work on this query (877,973 / 516 inferences).
+	const wantRatio = 877_973.0 / 516
+	ratio := float64(inferences[pipeline.Magic]) / float64(inferences[pipeline.FactoredOptimized])
+	if ratio != wantRatio {
+		t.Errorf("magic / factored+opt inferences = %.1f, want %.1f", ratio, wantRatio)
 	}
 }
